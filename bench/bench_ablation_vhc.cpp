@@ -6,8 +6,8 @@
 //   B. state-normalization resolution — the paper fixes 0.01; sweep it;
 //   C. grand-coalition anchoring — the estimator option that makes
 //      Efficiency exact vs trusting the approximation's own v(N, C');
-//   D. Monte-Carlo permutation budget vs exact Shapley on oracle worths —
-//      the escape hatch beyond the paper's n <= 16 regime;
+//   D. sampled-tier (SVARM-style) evaluation budget vs exact Shapley on
+//      oracle worths — the escape hatch beyond the paper's n <= 16 regime;
 //   E. per-combination weights (the paper's VHC model, 2^r campaigns) vs a
 //      single shared weight set (linear-in-types cost; the Sec. VIII
 //      "arbitrary VM types" extension);
@@ -20,9 +20,9 @@
 #include "core/banzhaf.hpp"
 #include "core/collector.hpp"
 #include "core/estimator.hpp"
-#include "core/monte_carlo.hpp"
 #include "core/shared_weights.hpp"
 #include "core/shapley.hpp"
+#include "core/shapley_sampled.hpp"
 #include "sim/coalition_probe.hpp"
 #include "sim/physical_machine.hpp"
 #include "sim/runner.hpp"
@@ -155,15 +155,14 @@ void ablation_anchor() {
               "gap equals the\nv(N,C') approximation error (a few percent).\n");
 }
 
-void ablation_monte_carlo() {
+void ablation_sampled() {
   util::print_banner(
-      "Ablation D: Monte-Carlo permutation budget vs exact Shapley");
+      "Ablation D: sampled-tier evaluation budget vs exact Shapley");
   // The 5-VM evaluation fleet at near-full load: the machine sits beyond the
   // turbo knee, so coalition worths carry higher-order (non-pairwise)
-  // interactions and Monte-Carlo genuinely has to converge. (Below the knee
-  // the power game is singleton + pairwise terms only, and the antithetic
-  // permutation pairing is *exact*: a permutation and its reverse average
-  // each pair term to exactly half — see the last column.)
+  // interactions and the sampled tier genuinely has to converge. With n = 5
+  // the warm-up makes strata of size 0, 1, 4 and 5 exact; every sampling
+  // round adds one draw of size 2 and one of size 3.
   const sim::MachineSpec spec = sim::xeon_prototype();
   const std::vector<common::VmConfig> fleet = {kCatalogue[0], kCatalogue[0],
                                                kCatalogue[1], kCatalogue[2],
@@ -175,35 +174,38 @@ void ablation_monte_carlo() {
     return probe.worth(s.mask(), states);
   };
   const auto exact = core::shapley_values(fleet.size(), v);
+  const double grand = v(core::Coalition::grand(fleet.size()));
+  const core::SampledWorthFn sampled_v = [&](std::uint64_t members) {
+    return probe.worth(static_cast<sim::CoalitionMask>(members), states);
+  };
 
-  util::TablePrinter table({"permutations", "worth evals", "max |err| (W)",
-                            "max rel err", "antithetic max |err|"});
-  for (std::size_t budget : {4u, 16u, 64u, 256u, 1024u}) {
-    const auto plain = core::monte_carlo_shapley(
-        fleet.size(), v,
-        {.permutations = budget, .seed = 5, .antithetic = false});
-    const auto paired = core::monte_carlo_shapley(
-        fleet.size(), v, {.permutations = budget, .seed = 5});
-    double max_abs = 0.0, max_rel = 0.0, max_abs_paired = 0.0;
+  util::TablePrinter table({"max_samples", "worth evals", "max |err| (W)",
+                            "max rel err", "max half-width (W)",
+                            "inside CI"});
+  for (std::size_t budget : {16u, 32u, 64u, 256u, 1024u}) {
+    const auto result = core::sampled_shapley_values(
+        fleet.size(), sampled_v, grand, {.seed = 5, .max_samples = budget});
+    double max_abs = 0.0, max_rel = 0.0;
+    std::size_t inside = 0;
     for (std::size_t i = 0; i < exact.size(); ++i) {
-      max_abs = std::max(max_abs, std::abs(plain.values[i] - exact[i]));
-      max_rel = std::max(max_rel,
-                         util::relative_error(plain.values[i], exact[i]));
-      max_abs_paired =
-          std::max(max_abs_paired, std::abs(paired.values[i] - exact[i]));
+      const double err = std::abs(result.phi[i] - exact[i]);
+      max_abs = std::max(max_abs, err);
+      max_rel =
+          std::max(max_rel, util::relative_error(result.phi[i], exact[i]));
+      if (err <= result.halfwidth_w[i]) ++inside;
     }
     table.add_row({std::to_string(budget),
-                   std::to_string(plain.worth_evaluations),
+                   std::to_string(result.worth_evaluations),
                    util::TablePrinter::num(max_abs, 3),
                    util::TablePrinter::pct(max_rel, 2),
-                   util::TablePrinter::num(max_abs_paired, 4)});
+                   util::TablePrinter::num(result.max_halfwidth_w, 3),
+                   std::to_string(inside) + "/" +
+                       std::to_string(exact.size())});
   }
   table.print();
-  std::printf("expected: error shrinks ~1/sqrt(budget); memoization caps "
-              "worth evaluations\nat 2^n, so dense sampling converges to the "
-              "exact computation\'s cost.\nAntithetic pairing removes the "
-              "pairwise-interaction variance entirely, which\ndominates for "
-              "this power game.\n");
+  std::printf("expected: error and half-width shrink ~1/sqrt(budget), and "
+              "every player's\nerror stays inside its reported 3-sigma "
+              "half-width whatever the budget.\n");
 }
 
 }  // namespace
@@ -299,7 +301,7 @@ int main() {
   ablation_budget();
   ablation_resolution();
   ablation_anchor();
-  ablation_monte_carlo();
+  ablation_sampled();
   ablation_shared_weights();
   ablation_banzhaf();
   return 0;

@@ -119,17 +119,17 @@ int main() {
       "paper fitted [w1..w4] = [16.98, 17.91, 23.42, 75.21]");
 
   // Fig. 10(c): pooled error distribution.
-  std::vector<double> pooled = homogeneous.errors;
-  pooled.insert(pooled.end(), heterogeneous.errors.begin(),
-                heterogeneous.errors.end());
-  const util::Summary summary = util::summarize(pooled);
+  std::vector<double> all_errors = homogeneous.errors;
+  all_errors.insert(all_errors.end(), heterogeneous.errors.begin(),
+                    heterogeneous.errors.end());
+  const util::Summary summary = util::summarize(all_errors);
 
   util::print_banner("Fig. 10(c): distribution of relative errors (pooled)");
   util::Histogram histogram(0.0, 0.15, 15);
-  histogram.add_all(pooled);
+  histogram.add_all(all_errors);
   std::fputs(histogram.render().c_str(), stdout);
 
-  const double below5 = util::fraction_below(pooled, 0.05);
+  const double below5 = util::fraction_below(all_errors, 0.05);
   std::printf("\nsamples: %zu   mean=%.2f%%  p90=%.2f%%  max=%.2f%%  "
               "<5%%: %.1f%%\n",
               summary.count, 100.0 * summary.mean, 100.0 * summary.p90,
@@ -138,8 +138,8 @@ int main() {
               "per-benchmark\naverages below 5.33%%.\n");
 
   util::CsvWriter csv("fig10_errors.csv", {"error"});
-  for (double e : pooled) csv.write_row(std::vector<double>{e});
+  for (double e : all_errors) csv.write_row(std::vector<double>{e});
   std::printf("raw errors written to fig10_errors.csv (%zu rows)\n",
-              pooled.size());
+              all_errors.size());
   return 0;
 }

@@ -3,7 +3,7 @@
 // Exact Shapley needs 2^n worth evaluations; the paper argues n <= 16 on
 // real hosts, so the overhead is "very low" (2^16 = 65536 operations). These
 // benchmarks quantify that claim on this implementation and measure the two
-// escape hatches for larger games: Monte-Carlo permutation sampling and the
+// escape hatches for larger games: the sampled (SVARM-style) tier and the
 // VHC estimator whose cost is 2^n table lookups but whose *measurement* cost
 // is only 2^r.
 // Beyond the registered microbenchmarks, `--sampled-curves [--quick]
@@ -25,7 +25,6 @@
 #include "common/state_vector.hpp"
 #include "core/estimator.hpp"
 #include "core/linear_approx.hpp"
-#include "core/monte_carlo.hpp"
 #include "core/shapley.hpp"
 #include "core/shapley_fast.hpp"
 #include "core/shapley_sampled.hpp"
@@ -70,19 +69,6 @@ void BM_ExactShapley(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(1) << n);
 }
 BENCHMARK(BM_ExactShapley)->DenseRange(2, 16, 2)->Complexity(benchmark::oN);
-
-void BM_MonteCarloShapley(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto permutations = static_cast<std::size_t>(state.range(1));
-  const auto table = make_game_table(n, 42);
-  const WorthFn v = [&](Coalition s) { return table[s.mask()]; };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vmp::core::monte_carlo_shapley(n, v, {.permutations = permutations}));
-  }
-}
-BENCHMARK(BM_MonteCarloShapley)
-    ->ArgsProduct({{8, 16, 24}, {100, 400}});
 
 // --- fast kernels ------------------------------------------------------------
 //

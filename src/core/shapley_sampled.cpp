@@ -297,16 +297,16 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
       if (middle) {
         // Thin-side fallback: pooled per-size mean, then the proportional
         // grand split when not even one middle draw landed (tiny budgets).
-        const double pooled =
+        const double pooled_mean =
             pool_cnt_[size] > 0
                 ? pool_mean_[size]
                 : grand_worth * static_cast<double>(size) / static_cast<double>(n);
         if (plus_cnt_[at] == 0) {
-          plus = pooled;
+          plus = pooled_mean;
           ++result.unseen_strata;
         }
         if (minus_cnt_[at] == 0) {
-          minus = pooled;
+          minus = pooled_mean;
           ++result.unseen_strata;
         }
       }

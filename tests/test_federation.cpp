@@ -264,9 +264,11 @@ TEST(Federation, RollupIsByteIdenticalToTheMergedFleet) {
       make_request(QueryKind::kTenantPower, 0, 0, 2),
       make_request(QueryKind::kVmPower, 2, 1, 0),  // lives on shard 2 only.
       make_request(QueryKind::kVmEnergy, 3, 2, 0, 1.0, 4.0),
+      make_request(QueryKind::kVmEnergy, 2, 1, 0, 1.0, 4.0),
       make_request(QueryKind::kTenantEnergy, 0, 0, 1, 1.0, 3.0),
       make_request(QueryKind::kTenantEnergy, 0, 0, 2, 2.0, 4.0),
       make_request(QueryKind::kTenantCost, 0, 0, 1, 1.0, 4.0),
+      make_request(QueryKind::kTenantCost, 0, 0, 2, 1.0, 4.0),
       make_request(QueryKind::kStats, 0, 0, 0),
   };
   for (const Request& request : requests) {
@@ -822,35 +824,6 @@ TEST(Federation, TimedOutPooledConnectionIsDiscardedNotReused) {
   shard.stop();
 }
 
-TEST(Federation, PooledAndUnpooledRollupsAreByteIdentical) {
-  Federation fed(/*ticks=*/4);  // pooled by default.
-  std::vector<FleetShard> mapped;
-  for (const auto& shard : fed.shards)
-    mapped.push_back(FleetShard{shard->fleet(), {shard->port()}});
-  FrontendOptions legacy;
-  legacy.pooled = false;
-  FederationFrontend unpooled(ShardMap(std::move(mapped)), legacy);
-  EXPECT_EQ(unpooled.pool(), nullptr);
-  EXPECT_EQ(unpooled.dispatch_workers(), 0u);
-
-  const std::vector<Request> requests = {
-      make_request(QueryKind::kFleetPower, 0, 0, 0),
-      make_request(QueryKind::kVmEnergy, 2, 1, 0, 1.0, 4.0),
-      make_request(QueryKind::kTenantPower, 0, 0, 2),
-      make_request(QueryKind::kTenantEnergy, 0, 0, 1, 1.0, 3.0),
-      make_request(QueryKind::kTenantCost, 0, 0, 2, 1.0, 4.0),
-      make_request(QueryKind::kVmPower, 2, 1, 0),
-  };
-  for (const Request& request : requests) {
-    const Response pooled = fed.frontend->execute(request);
-    const Response direct = unpooled.execute(request);
-    ASSERT_TRUE(pooled.ok) << pooled.message;
-    EXPECT_EQ(serve::encode_response(pooled), serve::encode_response(direct));
-    EXPECT_EQ(serve::format_response_text(pooled),
-              serve::format_response_text(direct));
-  }
-}
-
 TEST(Federation, HedgedLegsUseThePoolWithoutSharingAConnection) {
   // Slow primary, fast replica, hedging on, pooled transport: the hedge leg
   // must check out its own connection (checkout removes it from the idle
@@ -900,6 +873,66 @@ TEST(Federation, HedgedLegsUseThePoolWithoutSharingAConnection) {
   ASSERT_TRUE(again.ok);
   EXPECT_EQ(serve::encode_response(again), serve::encode_response(response));
   EXPECT_EQ(pool.misses(), 2u);
+  shard.stop();
+}
+
+TEST(Federation, StrayReaperHandlesManyHedgeLosersAndShutdownMidFlight) {
+  // Every query's primary leg loses to the replica and is parked as a stray.
+  // Cost queries stall the primary 100 ms, the rest 15 ms, so by the later
+  // queries' reaps the stray list holds finished and unfinished losers
+  // interleaved (the reaper both keeps a stray in place and compacts one
+  // over a reaped slot), and the frontend is destroyed while the 100 ms
+  // strays are still in flight.
+  InProcessShardOptions shard_options;
+  shard_options.fleet = 1;
+  shard_options.engine = exact_tou_options();
+  shard_options.server = quick_server();
+  shard_options.server.workers = 8;  // no queueing behind the stalls.
+  shard_options.server.worker_delay = std::chrono::milliseconds(15);
+  shard_options.server.cost_query_delay = std::chrono::milliseconds(85);
+  shard_options.replica = quick_server();
+  InProcessShard shard(shard_options);
+  for (int t = 1; t <= 2; ++t) shard.store().publish(shard_at(1, t));
+
+  const std::vector<Request> requests = {
+      make_request(QueryKind::kTenantCost, 0, 0, 1, 1.0, 2.0),
+      make_request(QueryKind::kFleetPower, 0, 0, 0)};
+  std::vector<std::string> replica_answers;
+  {
+    serve::Client replica(shard.replica_port());
+    for (const Request& request : requests)
+      replica_answers.push_back(serve::encode_response(replica.query(request)));
+  }
+
+  FrontendOptions options;
+  options.deadline = std::chrono::milliseconds(2000);
+  options.retries = 0;
+  options.hedge = true;
+  options.hedge_delay = std::chrono::milliseconds(5);
+  fleet::Metrics metrics;
+  options.metrics = &metrics;
+  constexpr int kQueries = 6;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    FederationFrontend frontend(
+        ShardMap({FleetShard{1, {shard.port(), shard.replica_port()}}}),
+        options);
+    for (int q = 0; q < kQueries; ++q) {
+      const Response response = frontend.execute(requests[q % 2]);
+      ASSERT_TRUE(response.ok) << response.message;
+      EXPECT_EQ(serve::encode_response(response), replica_answers[q % 2])
+          << "query " << q;
+    }
+  }  // destroyed with the last cost query's primary leg still stalled.
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(metrics.counter("vmpower_fed_hedges_total", "").value(),
+            static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(metrics.counter("vmpower_fed_hedge_wins_total", "").value(),
+            static_cast<std::uint64_t>(kQueries));
+  // Serialized behind their primaries, six queries would take 6 x 100 ms;
+  // hedged, the run is bounded by one primary stall plus the burst.
+  EXPECT_LT(elapsed.count(), 400);
   shard.stop();
 }
 

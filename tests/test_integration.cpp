@@ -3,6 +3,8 @@
 // online estimation).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 
@@ -11,8 +13,8 @@
 #include "common/vm_config.hpp"
 #include "core/collector.hpp"
 #include "core/estimator.hpp"
-#include "core/monte_carlo.hpp"
 #include "core/shapley.hpp"
+#include "core/shapley_sampled.hpp"
 #include "sim/coalition_probe.hpp"
 #include "sim/physical_machine.hpp"
 #include "sim/runner.hpp"
@@ -208,9 +210,21 @@ TEST(PaperShape, MonteCarloMatchesExactOnProbeWorths) {
     return probe.worth(s.mask(), states);
   };
   const auto exact = core::shapley_values(4, v);
-  const auto mc = core::monte_carlo_shapley(4, v, {.permutations = 500});
+  const double grand = v(core::Coalition::grand(4));
+  // The sampled (stratified Monte-Carlo) tier on the same game: every
+  // estimate inside its reported half-width, and Efficiency exact.
+  const auto sampled = core::sampled_shapley_values(
+      4,
+      [&](std::uint64_t members) {
+        return probe.worth(static_cast<sim::CoalitionMask>(members), states);
+      },
+      grand, {.max_samples = 500});
   for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_NEAR(mc.values[i], exact[i], 0.25) << "vm " << i;
+    EXPECT_LE(std::abs(sampled.phi[i] - exact[i]),
+              sampled.halfwidth_w[i] + 1e-9)
+        << "vm " << i;
+  EXPECT_NEAR(std::accumulate(sampled.phi.begin(), sampled.phi.end(), 0.0),
+              grand, 1e-9);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "common/state_vector.hpp"
@@ -203,6 +204,38 @@ TEST(SampledShapley, InputValidation) {
   EXPECT_THROW(sampled_shapley_values(4, worth, 0.0, no_stop),
                std::invalid_argument);
 }
+
+// Convergence sweep across game sizes and evaluation budgets: the mean
+// absolute error against exact shrinks with the budget. Worths are bounded
+// by 50, so the error at B evaluations is O(50/sqrt(B)).
+class McConvergence
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(McConvergence, MeanAbsoluteErrorWithinBudgetBound) {
+  const auto [n, budget] = GetParam();
+  util::Rng rng(n * 31 + budget);
+  std::vector<double> table(std::size_t{1} << n);
+  for (double& w : table) w = rng.uniform(0.0, 50.0);
+  table[0] = 0.0;
+  const auto exact =
+      shapley_values(n, [&](Coalition s) { return table[s.mask()]; });
+  SampledShapleyOptions options;
+  options.seed = 1234;
+  options.max_samples = budget;
+  const auto result =
+      sampled_shapley_values(n, table_worth(table), table.back(), options);
+  double mae = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    mae += std::abs(result.phi[i] - exact[i]);
+  mae /= static_cast<double>(n);
+  const double bound = 6.0 * 50.0 / std::sqrt(static_cast<double>(2 * budget));
+  EXPECT_LT(mae, bound) << "n=" << n << " B=" << budget;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Budgets, McConvergence,
+    ::testing::Combine(::testing::Values<std::size_t>(4, 6, 8, 10),
+                       ::testing::Values<std::size_t>(100, 400, 1600)));
 
 // --- Estimator tier ---------------------------------------------------------
 

@@ -65,9 +65,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/units.hpp"
 #include "common/vm_config.hpp"
@@ -156,7 +159,7 @@ commands:
   federate (--shards "F=PORT[,PORT];..." | --spin N) [--port P] [--workers W]
           [--deadline-ms D] [--retries R] [--backoff-ms B]
           [--hedge] [--hedge-delay-ms H] [--skew accept|reject] [--max-skew N]
-          [--fed-pool 0|1] [--fed-workers N] [--fed-pool-idle N]
+          [--fed-workers N] [--fed-pool-idle N]
           [--query "verb args"] [--linger S] [--metrics FILE]
           [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
@@ -171,8 +174,6 @@ commands:
           --hedge          race a replica when the primary is slow
           --skew reject    error (code 12) when shard epochs spread more
                            than --max-skew instead of rolling up at the min
-          --fed-pool 0     disable connection pooling + the persistent
-                           dispatcher (legacy thread-per-shard fan-out)
           --fed-workers N  dispatch pool size (default 0 = shards x 2)
           --fed-pool-idle N  idle connections kept per shard endpoint
                            (default 2)
@@ -190,6 +191,63 @@ commands:
           compact --dir DIR   compact every sealed WAL segment into an
                               indexed cold segment [--index-stride N]
 )";
+
+using Keys = std::vector<std::string>;
+
+Keys concat(std::initializer_list<Keys> groups) {
+  Keys out;
+  for (const Keys& group : groups)
+    out.insert(out.end(), group.begin(), group.end());
+  return out;
+}
+
+// The --KEYs each subcommand reads, directly or through the shared parsers
+// below (machine_for, fleet_for, kernel_for, arm_tracer, tou_for). main()
+// rejects any other key before the subcommand starts, so a typo'd or
+// retired flag fails instead of silently running the default.
+const Keys kKernelKeys = {"kernel", "samples", "halfwidth", "budget-ms"};
+const Keys kTraceKeys = {"trace", "trace-out"};
+const Keys kSloKeys = {"slow-ms", "slo-ms", "slo-target"};
+const Keys kFleetShapeKeys = {"fleet",   "hosts", "threads",  "tenants",
+                              "machine", "seed",  "duration",
+                              "collect-duration"};
+const std::map<std::string, Keys> kOptions = {
+    {"collect", {"fleet", "out", "duration", "seed", "machine"}},
+    {"train", {"table", "out", "ridge"}},
+    {"meter",
+     concat({{"fleet", "approx", "duration", "seed", "machine", "csv",
+              "idle-policy"},
+             kKernelKeys})},
+    {"bill",
+     concat({{"fleet", "approx", "duration", "seed", "machine", "csv",
+              "idle-policy", "tariff"},
+             kKernelKeys})},
+    {"info", {"approx"}},
+    {"fleet",
+     concat({kFleetShapeKeys, kKernelKeys, kTraceKeys,
+             {"max-retries", "queue-capacity", "inject-faults", "backpressure",
+              "checkpoint", "tariff", "metrics"}})},
+    {"serve",
+     concat({kFleetShapeKeys, kKernelKeys, kTraceKeys, kSloKeys,
+             {"port", "workers", "linger", "retention", "request-queue",
+              "tokens-per-s", "burst", "cache", "cache-shards", "coalesce",
+              "ordered", "offpeak-rate", "peak-rate", "peak-hours",
+              "seconds-per-hour", "ledger", "segment-records", "checkpoint",
+              "metrics"}})},
+    {"query", {"port", "proto", "id", "timeout-ms"}},
+    {"federate",
+     concat({kFleetShapeKeys, kKernelKeys, kTraceKeys, kSloKeys,
+             {"shards", "spin", "port", "workers", "deadline-ms", "retries",
+              "backoff-ms", "hedge", "hedge-delay-ms", "skew", "max-skew",
+              "fed-workers", "fed-pool-idle", "query", "linger",
+              "metrics"}})},
+    {"trace",
+     {"fleet", "hosts", "machine", "seed", "duration", "collect-duration",
+      "out"}},
+    {"scrape", {"port", "what", "out"}},
+    {"slo", {"port", "full"}},
+    {"ledger", {"dir", "index-stride"}},
+};
 
 sim::MachineSpec machine_for(const util::CliArgs& args) {
   const std::string name = args.get("machine", "xeon");
@@ -706,7 +764,6 @@ int cmd_federate(const util::CliArgs& args) {
     fed_options.skew_policy = federate::SkewPolicy::kReject;
   else if (skew != "accept")
     throw std::invalid_argument("federate: --skew must be accept or reject");
-  fed_options.pooled = args.get_long("fed-pool", 1) != 0;
   fed_options.workers =
       static_cast<std::size_t>(args.get_long("fed-workers", 0));
   fed_options.max_idle_per_endpoint =
@@ -1026,6 +1083,13 @@ int main(int argc, char** argv) {
   try {
     const util::CliArgs args(argc, argv);
     const std::string command = args.command();
+    if (const auto known = kOptions.find(command); known != kOptions.end()) {
+      const Keys stray = args.unknown_keys(known->second);
+      for (const std::string& key : stray)
+        std::fprintf(stderr, "vmpower %s: unknown option --%s\n",
+                     command.c_str(), key.c_str());
+      if (!stray.empty()) return 2;
+    }
     if (command == "collect") return cmd_collect(args);
     if (command == "train") return cmd_train(args);
     if (command == "meter") return cmd_meter(args, /*billing=*/false);

@@ -47,7 +47,8 @@ FleetEngine::FleetEngine(FleetOptions options,
       queue_(options_.queue_capacity == 0 ? options_.hosts
                                           : options_.queue_capacity,
              options_.backpressure),
-      pool_(options_.threads), monitor_(metrics_, options_.invariants) {
+      pool_(options_.threads), monitor_(metrics_, options_.invariants),
+      host_metrics_(options_.hosts) {
   HostAgentOptions agent_options;
   agent_options.period_s = options_.period_s;
   agent_options.max_retries = options_.max_retries;
@@ -98,39 +99,40 @@ void FleetEngine::aggregate(const HostTickResult& result) {
 
   // Observability: the estimate error gauge is the efficiency gap |ΣΦ − P|;
   // zero on fresh ticks (the estimator anchors to the measurement) and the
-  // carried estimate's drift on degraded ones.
+  // carried estimate's drift on degraded ones. Instruments are resolved on
+  // first use, so a series appears in the scrape exactly when it first has
+  // a value, and every later tick skips the registry's locked name lookup.
   double phi_sum = 0.0;
   for (const double p : result.phi) phi_sum += p;
-  const std::string host_label = std::to_string(result.host);
-  metrics_
-      .gauge("vmpower_fleet_host_estimate_error_w{host=\"" + host_label +
-                 "\"}",
-             "Absolute gap between the host's allocated and measured power")
-      .set(std::abs(phi_sum - result.adjusted_power_w));
-  metrics_
-      .gauge("vmpower_fleet_host_degraded{host=\"" + host_label + "\"}",
-             "1 when the host's last tick was served from a carried estimate")
-      .set(result.degraded ? 1.0 : 0.0);
+  HostMetrics& host = host_metrics_[result.host];
+  if (host.estimate_error == nullptr) {
+    const std::string host_label = std::to_string(result.host);
+    host.estimate_error = &metrics_.gauge(
+        "vmpower_fleet_host_estimate_error_w{host=\"" + host_label + "\"}",
+        "Absolute gap between the host's allocated and measured power");
+    host.degraded = &metrics_.gauge(
+        "vmpower_fleet_host_degraded{host=\"" + host_label + "\"}",
+        "1 when the host's last tick was served from a carried estimate");
+  }
+  host.estimate_error->set(std::abs(phi_sum - result.adjusted_power_w));
+  host.degraded->set(result.degraded ? 1.0 : 0.0);
   // The hit-rate gauge routes through the invariant monitor so the sample is
   // stamped with the tick epoch it belongs to (and threshold-checked).
   monitor_.observe_table_hit_rate(result.tick, result.host,
                                   result.table_hit_rate);
-  metrics_
-      .histogram("vmpower_fleet_tick_latency_seconds",
-                 "Wall time of one host metering step", 0.0, 0.05, 25)
-      .observe(result.step_seconds);
-  if (!result.phi.empty() && !result.degraded)
-    metrics_
-        .histogram("vmpower_fleet_estimator_latency_seconds",
-                   "Wall time of the Shapley estimator call alone", 0.0, 0.002,
-                   25)
-        .observe(result.estimate_seconds);
-  if (!result.kernel.empty())
-    metrics_
-        .counter("vmpower_fleet_kernel_selected_total{kernel=\"" +
-                     std::string(result.kernel) + "\"}",
-                 "Host ticks dispatched to each Shapley kernel fast path")
-        .inc();
+  if (tick_latency_ == nullptr)
+    tick_latency_ = &metrics_.histogram("vmpower_fleet_tick_latency_seconds",
+                                        "Wall time of one host metering step",
+                                        0.0, 0.05, 25);
+  tick_latency_->observe(result.step_seconds);
+  if (!result.phi.empty() && !result.degraded) {
+    if (estimator_latency_ == nullptr)
+      estimator_latency_ = &metrics_.histogram(
+          "vmpower_fleet_estimator_latency_seconds",
+          "Wall time of the Shapley estimator call alone", 0.0, 0.002, 25);
+    estimator_latency_->observe(result.estimate_seconds);
+  }
+  if (!result.kernel.empty()) kernel_counter(result.kernel).inc();
   if (!result.sampled_stop.empty()) {
     metrics_
         .counter("vmpower_shapley_sampled_ticks_total",
@@ -157,6 +159,17 @@ void FleetEngine::aggregate(const HostTickResult& result) {
                                 result.sampled_max_halfwidth_w,
                                 result.sampled_evals);
   }
+}
+
+Counter& FleetEngine::kernel_counter(std::string_view kernel) {
+  for (const auto& [name, counter] : kernel_counters_)
+    if (name == kernel) return *counter;
+  Counter& counter = metrics_.counter(
+      "vmpower_fleet_kernel_selected_total{kernel=\"" + std::string(kernel) +
+          "\"}",
+      "Host ticks dispatched to each Shapley kernel fast path");
+  kernel_counters_.emplace_back(kernel, &counter);
+  return counter;
 }
 
 void FleetEngine::run(std::uint64_t ticks) {

@@ -24,6 +24,8 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/accountant.hpp"
@@ -156,7 +158,16 @@ class FleetEngine {
   void restore_checkpoint(const std::filesystem::path& path);
 
  private:
+  /// A host's labeled instruments, resolved on its first aggregate().
+  /// Registry entries are heap-stable, so the pointers stay valid.
+  struct HostMetrics {
+    Gauge* estimate_error = nullptr;
+    Gauge* degraded = nullptr;
+  };
+
   void aggregate(const HostTickResult& result);
+  /// The kernel-selection counter for a kernel literal, resolved once.
+  Counter& kernel_counter(std::string_view kernel);
 
   FleetOptions options_;
   FaultInjector injector_;
@@ -168,6 +179,10 @@ class FleetEngine {
   Metrics metrics_;
   obs::InvariantMonitor monitor_;  ///< must follow metrics_ (init order).
   TickObserver observer_;
+  std::vector<HostMetrics> host_metrics_;  ///< indexed by host id.
+  HistogramMetric* tick_latency_ = nullptr;
+  HistogramMetric* estimator_latency_ = nullptr;
+  std::vector<std::pair<std::string_view, Counter*>> kernel_counters_;
 
   double last_residual_w_ = 0.0;
   std::uint64_t tick_ = 0;

@@ -72,12 +72,15 @@ void InvariantMonitor::observe_efficiency(std::uint64_t epoch,
 void InvariantMonitor::observe_table_hit_rate(std::uint64_t epoch,
                                               std::uint32_t host,
                                               double rate) {
-  registry_
-      .gauge(labeled("vmpower_fleet_table_hit_rate",
-                     {{"host", std::to_string(host)}}),
-             "Fraction of the host estimator's worth queries answered from "
-             "the offline v(S,C) table")
-      .set(rate);
+  if (host >= hit_rate_gauges_.size()) hit_rate_gauges_.resize(host + 1);
+  Gauge*& gauge = hit_rate_gauges_[host];
+  if (gauge == nullptr)
+    gauge = &registry_.gauge(
+        labeled("vmpower_fleet_table_hit_rate",
+                {{"host", std::to_string(host)}}),
+        "Fraction of the host estimator's worth queries answered from the "
+        "offline v(S,C) table");
+  gauge->set(rate);
   if (options_.table_hit_rate_warn >= 0.0 &&
       rate < options_.table_hit_rate_warn)
     breach(kTableHitRate, "table_hit_rate", epoch,

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -49,7 +50,8 @@ class InvariantMonitor {
   /// Per-tick fleet efficiency residual (W), stamped with the tick epoch.
   void observe_efficiency(std::uint64_t epoch, double residual_w);
 
-  /// One host's cumulative table hit rate after a tick.
+  /// One host's cumulative table hit rate after a tick. `host` is a dense
+  /// fleet index (from 0): its gauge is resolved once and kept by index.
   void observe_table_hit_rate(std::uint64_t epoch, std::uint32_t host,
                               double rate);
 
@@ -143,6 +145,7 @@ class InvariantMonitor {
   };
   Throttle throttle_[kWhichCount];
   std::map<std::string, std::uint64_t> shed_seen_;  ///< per-queue baseline.
+  std::vector<Gauge*> hit_rate_gauges_;  ///< by host, resolved on first use.
 };
 
 }  // namespace vmp::obs

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -262,6 +264,87 @@ TEST_F(FleetEngineTest, RestoreValidation) {
   FleetEngine mismatched(narrow, dataset_);
   EXPECT_THROW(mismatched.restore_checkpoint(path), std::runtime_error);
   std::filesystem::remove(path);
+}
+
+TEST_F(FleetEngineTest, CachedInstrumentsScrapeLikePerTickRegistration) {
+  // The engine resolves its per-host and per-kernel instruments once; the
+  // scrape must show exactly the series and values that registering them
+  // by name on every host-tick gives.
+  const std::vector<std::string> families = {
+      "vmpower_fleet_host_estimate_error_w", "vmpower_fleet_host_degraded",
+      "vmpower_fleet_table_hit_rate", "vmpower_fleet_tick_latency_seconds",
+      "vmpower_fleet_estimator_latency_seconds",
+      "vmpower_fleet_kernel_selected_total"};
+  const auto series_of = [&](const obs::MetricsRegistry& registry) {
+    std::vector<std::string> lines;
+    std::istringstream dump(registry.to_prometheus());
+    for (std::string line; std::getline(dump, line);)
+      for (const std::string& family : families)
+        if (line.find(family) != std::string::npos) {
+          lines.push_back(line);
+          break;
+        }
+    return lines;
+  };
+
+  for (const bool sampled : {false, true}) {
+    FleetOptions options = options_for(3);
+    options.faults = parse_fault_spec("meter:0.4,dropout:0.1,stale:0.3");
+    if (sampled)
+      options.kernel.kernel = core::SampledKernelConfig::Kernel::kSampled;
+    FleetEngine engine(options, dataset_);
+    // Nothing is registered at boot: a series appears with its first value.
+    EXPECT_TRUE(series_of(engine.metrics()).empty());
+
+    obs::MetricsRegistry replay;
+    engine.set_tick_observer([&](const FleetEngine&, std::uint64_t,
+                                 const std::vector<HostTickResult>& results) {
+      for (const HostTickResult& r : results) {
+        double phi_sum = 0.0;
+        for (const double p : r.phi) phi_sum += p;
+        const std::string host = std::to_string(r.host);
+        replay
+            .gauge("vmpower_fleet_host_estimate_error_w{host=\"" + host +
+                       "\"}",
+                   "Absolute gap between the host's allocated and measured "
+                   "power")
+            .set(std::abs(phi_sum - r.adjusted_power_w));
+        replay
+            .gauge("vmpower_fleet_host_degraded{host=\"" + host + "\"}",
+                   "1 when the host's last tick was served from a carried "
+                   "estimate")
+            .set(r.degraded ? 1.0 : 0.0);
+        replay
+            .gauge(obs::labeled("vmpower_fleet_table_hit_rate",
+                                {{"host", host}}),
+                   "Fraction of the host estimator's worth queries answered "
+                   "from the offline v(S,C) table")
+            .set(r.table_hit_rate);
+        replay
+            .histogram("vmpower_fleet_tick_latency_seconds",
+                       "Wall time of one host metering step", 0.0, 0.05, 25)
+            .observe(r.step_seconds);
+        if (!r.phi.empty() && !r.degraded)
+          replay
+              .histogram("vmpower_fleet_estimator_latency_seconds",
+                         "Wall time of the Shapley estimator call alone", 0.0,
+                         0.002, 25)
+              .observe(r.estimate_seconds);
+        if (!r.kernel.empty())
+          replay
+              .counter("vmpower_fleet_kernel_selected_total{kernel=\"" +
+                           std::string(r.kernel) + "\"}",
+                       "Host ticks dispatched to each Shapley kernel fast "
+                       "path")
+              .inc();
+      }
+    });
+    engine.run(25);
+    EXPECT_GT(engine.degraded_ticks(), 0u);
+    const auto scraped = series_of(engine.metrics());
+    EXPECT_FALSE(scraped.empty());
+    EXPECT_EQ(scraped, series_of(replay)) << "sampled=" << sampled;
+  }
 }
 
 TEST_F(FleetEngineTest, OptionsValidation) {

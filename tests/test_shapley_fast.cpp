@@ -400,7 +400,7 @@ TEST(ShapleyVhcEstimatorFast, TableLookupPathMatchesReference) {
   const VhcUniverse universe({0, 1});
   ShapleyVhcEstimator fast_estimator(universe, pipeline.approx, pipeline.table);
   // States on exact quantization multiples, so both paths land in the same
-  // table cells; repeated estimates exercise the cross-tick memo.
+  // table cells; repeated estimates re-probe the same cells.
   std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.25)},
                                {1, 0, StateVector::cpu_only(0.75)},
                                {2, 1, StateVector::cpu_only(0.5)},
@@ -420,8 +420,8 @@ TEST(ShapleyVhcEstimatorFast, CompositionMemoReplaysTablePathExactly) {
   util::Rng rng(27);
   const auto pipeline = full_pipeline(2, rng);
   // Plant one guaranteed table cell — the composition holding exactly one
-  // 0.25-cpu VM of type 0 — so the memo provably carries hits, not only
-  // remembered misses.
+  // 0.25-cpu VM of type 0 — so the repeated tick provably re-probes hits,
+  // not only misses.
   VscTable table = pipeline.table;
   table.record(0b01, {{StateVector::cpu_only(0.25), StateVector::zero()}},
                6.5);
@@ -444,12 +444,12 @@ TEST(ShapleyVhcEstimatorFast, CompositionMemoReplaysTablePathExactly) {
   const double rate_fresh = estimator.table_hit_rate();
   EXPECT_GT(rate_fresh, 0.0);
 
-  // Identical states next tick: the per-composition memo replays last
-  // tick's table outcomes by index. Replay must be bit-identical to
-  // re-probing — values and counters alike.
+  // Identical states next tick: the estimator keeps no per-tick table
+  // state, so the second tick must be bit-identical to the first — values
+  // and counters alike.
   const auto replay = estimator.estimate(vms, 33.0);
   for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_EQ(fresh[i], replay[i]) << "memo replay diverged, vm " << i;
+    EXPECT_EQ(fresh[i], replay[i]) << "repeated tick diverged, vm " << i;
   EXPECT_EQ(estimator.worth_queries(), 2 * queries_fresh);
   EXPECT_DOUBLE_EQ(estimator.table_hit_rate(), rate_fresh);
 
@@ -459,14 +459,81 @@ TEST(ShapleyVhcEstimatorFast, CompositionMemoReplaysTablePathExactly) {
   for (std::size_t i = 0; i < vms.size(); ++i)
     EXPECT_NEAR(replay[i], reference[i], 1e-12) << "vm " << i;
 
-  // A moved state invalidates the memo; the rebuilt tick still matches.
+  // A moved state changes the probed cells; the tick still matches.
   vms[2].state = StateVector::cpu_only(1.25);
   const auto moved = estimator.estimate(vms, 41.0);
   const auto moved_reference =
       reference_estimate(universe, pipeline.approx, &table, true, vms, 41.0);
   for (std::size_t i = 0; i < vms.size(); ++i)
     EXPECT_NEAR(moved[i], moved_reference[i], 1e-12)
-        << "after invalidation, vm " << i;
+        << "after the move, vm " << i;
+}
+
+TEST(ShapleyVhcEstimatorFast, TablePathMatchesReferenceOverMovingTicks) {
+  util::Rng rng(28);
+  const auto pipeline = full_pipeline(3, rng);
+  // Plant cells on about half of the quarter-CPU grid that the on-grid ticks
+  // below aggregate to (2 VMs per type: 0.25 .. 2.0 per VHC), so probes both
+  // hit and miss.
+  VscTable table = pipeline.table;
+  for (VhcComboMask combo = 1; combo < 8; ++combo)
+    for (int cell = 0; cell < 40; ++cell) {
+      std::vector<StateVector> states(3);
+      for (std::size_t j = 0; j < 3; ++j)
+        if (((combo >> j) & 1u) != 0)
+          states[j] = StateVector::cpu_only(
+              0.25 * static_cast<double>(rng.uniform_int(1, 8)));
+      table.record(combo, states, rng.uniform(5.0, 60.0));
+    }
+  const VhcUniverse universe({0, 1, 2});
+  ShapleyVhcEstimator estimator(universe, pipeline.approx, table);
+
+  std::vector<VmSample> vms;
+  for (std::uint32_t i = 0; i < 6; ++i)
+    vms.push_back({i, static_cast<common::VmTypeId>(i % 3),
+                   StateVector::cpu_only(0.5)});
+  std::size_t fresh_queries = 0, fresh_hits = 0;
+  bool saw_collapsed = false, saw_sweep = false;
+  for (int tick = 0; tick < 60; ++tick) {
+    // Moving states: every third tick repeats the last one exactly; the
+    // others draw quarter-CPU grid states (symmetric pairs, collapsed
+    // kernel, table hits) or, every fifth tick, distinct off-grid states
+    // (sweep kernel, misses). An idle VM now and then exercises Remark 1.
+    if (tick % 3 != 2) {
+      for (VmSample& vm : vms)
+        vm.state = tick % 5 == 4
+                       ? StateVector::cpu_only(rng.uniform(0.05, 1.0))
+                       : StateVector::cpu_only(
+                             0.25 * static_cast<double>(rng.uniform_int(0, 4)));
+    }
+    const double adjusted = rng.uniform(20.0, 80.0);
+    const auto phi = estimator.estimate(vms, adjusted);
+    saw_collapsed |= estimator.last_kernel() == "collapsed";
+    saw_sweep |= estimator.last_kernel() == "sweep";
+    const auto reference = reference_estimate(universe, pipeline.approx,
+                                              &table, true, vms, adjusted);
+    for (std::size_t i = 0; i < vms.size(); ++i)
+      EXPECT_NEAR(phi[i], reference[i], 1e-9) << "tick " << tick << " vm " << i;
+
+    // The long-lived estimator's counters equal the sum over estimators
+    // that each saw only this tick: nothing carried across ticks changes
+    // what is queried or what hits.
+    ShapleyVhcEstimator once(universe, pipeline.approx, table);
+    const auto once_phi = once.estimate(vms, adjusted);
+    for (std::size_t i = 0; i < vms.size(); ++i)
+      EXPECT_EQ(phi[i], once_phi[i]) << "tick " << tick << " vm " << i;
+    fresh_queries += once.worth_queries();
+    fresh_hits += static_cast<std::size_t>(std::llround(
+        once.table_hit_rate() * static_cast<double>(once.worth_queries())));
+    ASSERT_EQ(estimator.worth_queries(), fresh_queries) << "tick " << tick;
+  }
+  EXPECT_TRUE(saw_collapsed);
+  EXPECT_TRUE(saw_sweep);
+  EXPECT_GT(fresh_hits, 0u);
+  EXPECT_LT(fresh_hits, fresh_queries);
+  EXPECT_DOUBLE_EQ(estimator.table_hit_rate(),
+                   static_cast<double>(fresh_hits) /
+                       static_cast<double>(fresh_queries));
 }
 
 TEST(ShapleyVhcEstimatorFast, IdleVmsAndCacheReuseAcrossTicks) {

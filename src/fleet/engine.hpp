@@ -4,12 +4,11 @@
 // The Shapley value's Additivity axiom (paper Sec. IV-C) makes the per-host
 // disaggregation games independent, so a fleet of N hosts is embarrassingly
 // parallel: each tick the engine fans one HostAgent task per host onto its
-// ThreadPool, workers publish HostTickResults through the bounded MPSC
-// queue, and the engine aggregates the tick on its own thread *in host-id
-// order* — which is why the tenant ledgers are byte-identical to a serial
-// run at any thread count (under the kBlock backpressure policy; kDropOldest
-// trades that guarantee for liveness and surfaces every shed sample in the
-// drop counter).
+// ThreadPool, each task writes its HostTickResult into that host's slot,
+// and once the pool's barrier closes the tick the engine aggregates the
+// slots on its own thread *in host-id order* — which is why the tenant
+// ledgers are byte-identical to a serial run at any thread count, and why
+// every host-tick is billed exactly once.
 //
 // Fault tolerance (see fleet/faults.hpp and fleet/host_agent.hpp): degraded
 // host-ticks are billed at the host's last good estimate and flagged in the
@@ -34,7 +33,6 @@
 #include "fleet/faults.hpp"
 #include "fleet/host_agent.hpp"
 #include "fleet/metrics.hpp"
-#include "fleet/queue.hpp"
 #include "util/thread_pool.hpp"
 #include "obs/invariants.hpp"
 #include "sim/machine_spec.hpp"
@@ -53,9 +51,6 @@ struct FleetOptions {
   std::uint64_t seed = 1;
   core::IdleAttribution idle_policy = core::IdleAttribution::kNone;
 
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  std::size_t queue_capacity = 0;  ///< 0 => one slot per host.
-
   FaultSpec faults;
   std::uint32_t max_retries = 3;
   std::chrono::microseconds retry_backoff_base{100};
@@ -66,7 +61,7 @@ struct FleetOptions {
   core::SampledKernelConfig kernel;
 
   /// Warn thresholds for the runtime invariant monitors (efficiency
-  /// residual, table hit rate, queue occupancy).
+  /// residual, table hit rate).
   obs::InvariantOptions invariants;
 
   /// Throws std::invalid_argument on zero hosts/threads/tenants, an empty
@@ -80,7 +75,6 @@ class FleetEngine {
   /// (host h is seeded with seed + h, so hosts are distinct but the whole
   /// fleet is reproducible from one seed).
   FleetEngine(FleetOptions options, const core::OfflineDataset& dataset);
-  ~FleetEngine();
 
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
@@ -89,10 +83,10 @@ class FleetEngine {
   void run(std::uint64_t ticks);
 
   /// Called on the engine thread at the end of every tick, after the ledgers
-  /// were updated, with the tick's results sorted by host id. The ledgers
-  /// are safe to read from inside the callback (same thread); this is how
-  /// serve::SnapshotStore publishes immutable query snapshots without ever
-  /// blocking the metering loop on readers.
+  /// were updated, with the tick's results indexed by host id (one per
+  /// host). The ledgers are safe to read from inside the callback (same
+  /// thread); this is how serve::SnapshotStore publishes immutable query
+  /// snapshots without ever blocking the metering loop on readers.
   using TickObserver = std::function<void(
       const FleetEngine&, std::uint64_t tick,
       const std::vector<HostTickResult>& results)>;
@@ -120,9 +114,9 @@ class FleetEngine {
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
   /// The runtime invariant monitors feeding metrics() (efficiency residual,
-  /// table hit rate, queue occupancy — see obs/invariants.hpp). The mutable
-  /// overload lets co-located components (the serve snapshot store) feed
-  /// their own invariant samples into the same monitor.
+  /// table hit rate — see obs/invariants.hpp). The mutable overload lets
+  /// co-located components (the serve snapshot store) feed their own
+  /// invariant samples into the same monitor.
   [[nodiscard]] obs::InvariantMonitor& invariants() noexcept {
     return monitor_;
   }
@@ -134,11 +128,10 @@ class FleetEngine {
     return last_residual_w_;
   }
 
-  /// Aggregated fault/backpressure tallies (also exported via metrics()).
+  /// Aggregated fault tallies (also exported via metrics()).
   [[nodiscard]] std::uint64_t samples_processed() const noexcept {
     return processed_;
   }
-  [[nodiscard]] std::uint64_t samples_dropped() const noexcept;
   [[nodiscard]] std::uint64_t degraded_ticks() const noexcept {
     return degraded_;
   }
@@ -174,7 +167,8 @@ class FleetEngine {
   std::vector<std::unique_ptr<HostAgent>> agents_;
   std::vector<std::unique_ptr<core::EnergyAccountant>> host_ledgers_;
   core::MultiHostAccountant tenants_;
-  BoundedQueue<HostTickResult> queue_;
+  /// This tick's results, slot h written only by host h's pool task.
+  std::vector<HostTickResult> results_;
   util::ThreadPool pool_;
   Metrics metrics_;
   obs::InvariantMonitor monitor_;  ///< must follow metrics_ (init order).
@@ -186,7 +180,6 @@ class FleetEngine {
 
   double last_residual_w_ = 0.0;
   std::uint64_t tick_ = 0;
-  std::uint64_t dropped_base_ = 0;  ///< drops carried in from a checkpoint.
   std::uint64_t processed_ = 0;
   std::uint64_t degraded_ = 0;
   std::uint64_t retries_ = 0;

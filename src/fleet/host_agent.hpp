@@ -24,7 +24,8 @@
 
 namespace vmp::fleet {
 
-/// What one host produced for one tick; queued to the aggregation thread.
+/// What one host produced for one tick; written into the engine's slot for
+/// the host and aggregated on the engine thread.
 struct HostTickResult {
   std::uint32_t host = 0;
   std::uint64_t tick = 0;

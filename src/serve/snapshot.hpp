@@ -113,9 +113,10 @@ class SnapshotStore {
   }
 
   /// Builds a snapshot from the engine's ledgers and this tick's results and
-  /// publishes it. Hosts absent from `results` (shed under drop-oldest
-  /// backpressure) carry their previous instant power; energies always come
-  /// from the ledgers, which are authoritative.
+  /// publishes it. A host with no estimate this tick (degraded before its
+  /// first good estimate, so its `phi` is empty) carries whatever instant
+  /// power the previous snapshot held for it; energies always come from the
+  /// ledgers, which are authoritative.
   void publish_tick(const fleet::FleetEngine& engine, std::uint64_t tick,
                     const std::vector<fleet::HostTickResult>& results);
 

@@ -5,67 +5,19 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/vm_config.hpp"
 #include "core/collector.hpp"
 #include "fleet/faults.hpp"
-#include "fleet/queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vmp::fleet {
 namespace {
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndValidation) {
-  BoundedQueue<int> queue(4);
-  EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.try_pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, DropOldestEvictsFrontAndCounts) {
-  BoundedQueue<int> queue(2, BackpressurePolicy::kDropOldest);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_FALSE(queue.push(3));  // evicts 1.
-  EXPECT_EQ(queue.dropped(), 1u);
-  EXPECT_EQ(queue.high_watermark(), 2u);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.pop(), 3);
-}
-
-TEST(BoundedQueue, BlockPolicyBlocksProducerUntilConsumed) {
-  BoundedQueue<int> queue(1, BackpressurePolicy::kBlock);
-  ASSERT_TRUE(queue.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    queue.push(2);  // full: must wait for the pop below.
-    second_pushed = true;
-  });
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  producer.join();
-  EXPECT_TRUE(second_pushed);
-  EXPECT_EQ(queue.dropped(), 0u);
-}
-
-TEST(BoundedQueue, CloseWakesEveryone) {
-  BoundedQueue<int> queue(1);
-  std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
-  queue.close();
-  consumer.join();
-  EXPECT_FALSE(queue.push(7));  // discarded after close.
-}
 
 // --- ThreadPool -------------------------------------------------------------
 
@@ -121,6 +73,8 @@ TEST(Faults, RollsAreDeterministicInTheKey) {
 class FleetEngineTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kHosts = 4;
+  /// Thread counts compared against a serial run.
+  static constexpr std::size_t kThreadSweep[] = {2, 4, 8};
 
   std::vector<common::VmConfig> fleet_ = {common::demo_c_vm(),
                                           common::demo_c_vm()};
@@ -163,15 +117,19 @@ class FleetEngineTest : public ::testing::Test {
 TEST_F(FleetEngineTest, LedgersAreByteIdenticalAcrossThreadCounts) {
   FleetEngine serial(options_for(1), dataset_);
   serial.run(15);
-  FleetEngine threaded(options_for(3), dataset_);
-  threaded.run(15);
-
-  const auto a = ledger_fingerprint(serial);
-  const auto b = ledger_fingerprint(threaded);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "fingerprint slot " << i;  // exact, not NEAR.
   EXPECT_GT(serial.tenant_ledger().total_energy_j(), 0.0);
+  const auto a = ledger_fingerprint(serial);
+
+  // 8 threads is more than kHosts: idle workers must not perturb anything.
+  for (const std::size_t threads : kThreadSweep) {
+    FleetEngine threaded(options_for(threads), dataset_);
+    threaded.run(15);
+    const auto b = ledger_fingerprint(threaded);
+    ASSERT_EQ(a.size(), b.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_EQ(a[i], b[i]) << "threads=" << threads << " fingerprint slot "
+                            << i;  // exact, not NEAR.
+  }
 }
 
 TEST_F(FleetEngineTest, DeterminismHoldsWithFaultInjectionEnabled) {
@@ -179,16 +137,19 @@ TEST_F(FleetEngineTest, DeterminismHoldsWithFaultInjectionEnabled) {
   faulty.faults = parse_fault_spec("meter:0.4,dropout:0.1,stale:0.3");
   FleetEngine serial(faulty, dataset_);
   serial.run(20);
-
-  faulty.threads = 3;
-  FleetEngine threaded(faulty, dataset_);
-  threaded.run(20);
-
-  EXPECT_EQ(ledger_fingerprint(serial), ledger_fingerprint(threaded));
-  EXPECT_EQ(serial.degraded_ticks(), threaded.degraded_ticks());
-  EXPECT_EQ(serial.retries(), threaded.retries());
-  EXPECT_EQ(serial.stale_ticks(), threaded.stale_ticks());
   EXPECT_GT(serial.degraded_ticks(), 0u);
+
+  for (const std::size_t threads : kThreadSweep) {
+    faulty.threads = threads;
+    FleetEngine threaded(faulty, dataset_);
+    threaded.run(20);
+
+    EXPECT_EQ(ledger_fingerprint(serial), ledger_fingerprint(threaded))
+        << "threads=" << threads;
+    EXPECT_EQ(serial.degraded_ticks(), threaded.degraded_ticks());
+    EXPECT_EQ(serial.retries(), threaded.retries());
+    EXPECT_EQ(serial.stale_ticks(), threaded.stale_ticks());
+  }
 }
 
 TEST_F(FleetEngineTest, DegradedHostsCarryLastGoodEstimateNeverZero) {
@@ -211,20 +172,31 @@ TEST_F(FleetEngineTest, DegradedHostsCarryLastGoodEstimateNeverZero) {
             std::string::npos);
 }
 
-TEST_F(FleetEngineTest, DropOldestBackpressureAccountsEveryShedSample) {
-  FleetOptions options = options_for(3);
-  options.backpressure = BackpressurePolicy::kDropOldest;
-  options.queue_capacity = 1;  // 4 hosts racing into one slot: must shed.
-  FleetEngine engine(options, dataset_);
-  engine.run(12);
+TEST_F(FleetEngineTest, EveryHostTickIsAggregatedExactlyOnce) {
+  constexpr std::uint64_t kTicks = 12;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    FleetOptions options = options_for(threads);
+    options.faults = parse_fault_spec("meter:0.4,dropout:0.1,stale:0.3");
+    FleetEngine engine(options, dataset_);
+    std::uint64_t observed_ticks = 0;
+    engine.set_tick_observer([&](const FleetEngine&, std::uint64_t now,
+                                 const std::vector<HostTickResult>& results) {
+      // One slot per host, slot h holding host h's result for this tick:
+      // faults degrade a host-tick, they never shed or repeat one.
+      ASSERT_EQ(results.size(), kHosts) << "tick " << now;
+      for (std::size_t h = 0; h < kHosts; ++h) {
+        EXPECT_EQ(results[h].host, h) << "tick " << now;
+        EXPECT_EQ(results[h].tick, now) << "host " << h;
+      }
+      ++observed_ticks;
+    });
+    engine.run(kTicks);
 
-  EXPECT_GT(engine.samples_dropped(), 0u);
-  // Conservation: every produced sample is either aggregated or counted as
-  // dropped — none vanish.
-  EXPECT_EQ(engine.samples_processed() + engine.samples_dropped(),
-            kHosts * 12u);
-  const std::string dump = engine.metrics().to_prometheus();
-  EXPECT_NE(dump.find("vmpower_fleet_sample_drops_total"), std::string::npos);
+    EXPECT_EQ(observed_ticks, kTicks) << "threads=" << threads;
+    EXPECT_EQ(engine.samples_processed(), kHosts * kTicks)
+        << "threads=" << threads;
+    EXPECT_GT(engine.degraded_ticks(), 0u) << "threads=" << threads;
+  }
 }
 
 TEST_F(FleetEngineTest, CheckpointRestoreResumesExactTrajectory) {
@@ -256,6 +228,21 @@ TEST_F(FleetEngineTest, RestoreValidation) {
 
   FleetEngine fresh(options_for(1), dataset_);
   EXPECT_THROW(fresh.restore_checkpoint(path), std::runtime_error);
+
+  // A checkpoint from before the header lost its drop tally is refused by
+  // its magic instead of being misparsed.
+  {
+    std::ofstream old(path, std::ios::trunc);
+    old << "vmpower-fleet-ckpt v1 hosts=4 tick=1 processed=4 degraded=0 "
+           "retries=0 stale=0 drops=0\n";
+  }
+  try {
+    fresh.restore_checkpoint(path);
+    ADD_FAILURE() << "a v1 checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
 
   // Host-count mismatch is rejected before any state is replayed.
   engine.save_checkpoint(path);

@@ -11,6 +11,7 @@
 
 #include "common/vm_config.hpp"
 #include "core/collector.hpp"
+#include "serve/bounded_queue.hpp"
 #include "serve/query.hpp"
 #include "serve/token_bucket.hpp"
 
@@ -186,6 +187,38 @@ TEST(TokenBucket, CapsAtBurstAndToleratesBackwardsClock) {
 TEST(TokenBucket, RejectsBadParameters) {
   EXPECT_THROW(TokenBucket(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(TokenBucket(-1.0, 1.0), std::invalid_argument);
+}
+
+// --- BoundedQueue -----------------------------------------------------------
+
+TEST(BoundedQueue, FifoAndValidation) {
+  BoundedQueue<int> queue(4);
+  EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
+  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_EQ(queue.high_watermark(), 2u);
+  EXPECT_EQ(queue.pop(), 1);
+  EXPECT_EQ(queue.pop(), 2);
+}
+
+TEST(BoundedQueue, TryPushOnFullQueueRefusesAndEvictsNothing) {
+  BoundedQueue<int> queue(2);
+  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_FALSE(queue.try_push(3));  // full: refused, nothing evicted.
+  EXPECT_EQ(queue.high_watermark(), 2u);
+  EXPECT_EQ(queue.pop(), 1);
+  EXPECT_EQ(queue.pop(), 2);
+  queue.close();
+  EXPECT_EQ(queue.pop(), std::nullopt);  // 3 was never queued.
+}
+
+TEST(BoundedQueue, CloseWakesEveryone) {
+  BoundedQueue<int> queue(1);
+  std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
+  queue.close();
+  consumer.join();
+  EXPECT_FALSE(queue.try_push(7));  // refused after close.
 }
 
 // --- QueryEngine ------------------------------------------------------------

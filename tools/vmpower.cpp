@@ -114,7 +114,6 @@ commands:
   fleet   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--seed N] [--tariff $/kWh] [--collect-duration S]
           [--inject-faults meter:P,dropout:P,stale:P] [--max-retries N]
-          [--backpressure block|drop-oldest] [--queue-capacity N]
           [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
           [--checkpoint FILE] [--metrics FILE] [--trace] [--trace-out FILE]
           --kernel K       Shapley kernel: auto (default; exact collapsed/
@@ -225,8 +224,8 @@ const std::map<std::string, Keys> kOptions = {
     {"info", {"approx"}},
     {"fleet",
      concat({kFleetShapeKeys, kKernelKeys, kTraceKeys,
-             {"max-retries", "queue-capacity", "inject-faults", "backpressure",
-              "checkpoint", "tariff", "metrics"}})},
+             {"max-retries", "inject-faults", "checkpoint", "tariff",
+              "metrics"}})},
     {"serve",
      concat({kFleetShapeKeys, kKernelKeys, kTraceKeys, kSloKeys,
              {"port", "workers", "linger", "retention", "request-queue",
@@ -450,17 +449,9 @@ int cmd_fleet(const util::CliArgs& args) {
   options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   options.max_retries =
       static_cast<std::uint32_t>(args.get_long("max-retries", 3));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.get_long("queue-capacity", 0));
   options.kernel = kernel_for(args);
   if (args.has("inject-faults"))
     options.faults = fleet::parse_fault_spec(args.require("inject-faults"));
-  const std::string backpressure = args.get("backpressure", "block");
-  if (backpressure == "drop-oldest")
-    options.backpressure = fleet::BackpressurePolicy::kDropOldest;
-  else if (backpressure != "block")
-    throw std::invalid_argument("unknown --backpressure '" + backpressure +
-                                "' (expected block or drop-oldest)");
   options.validate();  // fail on bad knobs before the offline campaign runs
 
   // The offline campaign is shared across hosts (identical machine type, so
@@ -486,11 +477,10 @@ int cmd_fleet(const util::CliArgs& args) {
   const bool dump = arm_tracer(args);
   const auto ticks =
       static_cast<std::uint64_t>(args.get_double("duration", 60.0));
-  std::printf("online: metering %zu hosts x %zu VMs on %zu threads for %llu "
-              "ticks (%s backpressure)\n",
-              options.hosts, options.fleet_per_host.size(), options.threads,
-              static_cast<unsigned long long>(ticks),
-              to_string(options.backpressure));
+  std::printf(
+      "online: metering %zu hosts x %zu VMs on %zu threads for %llu ticks\n",
+      options.hosts, options.fleet_per_host.size(), options.threads,
+      static_cast<unsigned long long>(ticks));
   engine.run(ticks);
 
   const double tariff = args.get_double("tariff", 0.10);
@@ -507,11 +497,10 @@ int cmd_fleet(const util::CliArgs& args) {
                    util::TablePrinter::num(kwh * tariff, 6)});
   }
   table.print();
-  std::printf("ticks %llu | samples %llu | drops %llu | retries %llu | "
-              "degraded %llu | stale %llu | unattributed %.3f J\n",
+  std::printf("ticks %llu | samples %llu | retries %llu | degraded %llu | "
+              "stale %llu | unattributed %.3f J\n",
               static_cast<unsigned long long>(engine.tick()),
               static_cast<unsigned long long>(engine.samples_processed()),
-              static_cast<unsigned long long>(engine.samples_dropped()),
               static_cast<unsigned long long>(engine.retries()),
               static_cast<unsigned long long>(engine.degraded_ticks()),
               static_cast<unsigned long long>(engine.stale_ticks()),

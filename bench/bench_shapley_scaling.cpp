@@ -133,9 +133,12 @@ void BM_EstimatorTick(benchmark::State& state) {
   // One full ShapleyVhcEstimator::estimate() call — the per-tick cost every
   // host agent pays. sym=1 duplicates states within each of the 4 VM types,
   // so the estimator takes the collapsed path; sym=0 forces distinct states
-  // and times the batched mask sweep.
+  // and times the batched mask sweep. table=1 gives the estimator its
+  // VscTable, as every fleet host agent does, so each worth is looked up
+  // in the table before the regression answers it.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool symmetric = state.range(1) != 0;
+  const bool with_table = state.range(2) != 0;
   constexpr std::size_t kTypes = 4;
 
   vmp::util::Rng rng(7);
@@ -166,14 +169,16 @@ void BM_EstimatorTick(benchmark::State& state) {
                   : rng.uniform(0.05, 1.0));
   }
 
-  vmp::core::ShapleyVhcEstimator estimator(universe, approx);
+  vmp::core::ShapleyVhcEstimator estimator =
+      with_table ? vmp::core::ShapleyVhcEstimator(universe, approx, table)
+                 : vmp::core::ShapleyVhcEstimator(universe, approx);
   for (auto _ : state) {
     benchmark::DoNotOptimize(estimator.estimate(vms, 50.0));
   }
 }
 BENCHMARK(BM_EstimatorTick)
-    ->ArgsProduct({{8, 12, 16}, {0, 1}})
-    ->ArgNames({"n", "sym"});
+    ->ArgsProduct({{8, 12, 16}, {0, 1}, {0, 1}})
+    ->ArgNames({"n", "sym", "table"});
 
 // --- sampled tier ------------------------------------------------------------
 //

@@ -38,24 +38,75 @@ std::size_t VscTable::GridKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
+namespace {
+
+/// round(v / resolution) is exactly the multiplier quantized() applies, so
+/// equal indices <=> equal quantized states. False when v is non-finite or
+/// its index does not fit in int32: the range test is written so NaN fails
+/// it too, and it keeps the int32 cast defined.
+bool grid_index(double v, double resolution, std::int32_t& index) noexcept {
+  constexpr double kLo = std::numeric_limits<std::int32_t>::min();
+  constexpr double kHi = std::numeric_limits<std::int32_t>::max();
+  const double k = std::round(v / resolution);
+  if (!(k >= kLo && k <= kHi)) return false;
+  index = static_cast<std::int32_t>(k);
+  return true;
+}
+
+}  // namespace
+
 bool VscTable::grid_key(VhcComboMask combo,
                         std::span<const common::StateVector> vhc_states,
                         GridKey& key) const noexcept {
-  // round(v / resolution) is exactly the multiplier quantized() applies, so
-  // equal indices <=> equal quantized states. The range test is written so
-  // NaN fails it too; it also keeps the int32 cast defined.
-  constexpr double kLo = std::numeric_limits<std::int32_t>::min();
-  constexpr double kHi = std::numeric_limits<std::int32_t>::max();
   key.combo = combo;
   key.size = static_cast<std::uint32_t>(num_vhcs_ * common::kNumComponents);
   std::size_t i = 0;
   for (std::size_t j = 0; j < num_vhcs_; ++j)
-    for (const double v : vhc_states[j].values()) {
-      const double k = std::round(v / resolution_);
-      if (!(k >= kLo && k <= kHi)) return false;
-      key.index[i++] = static_cast<std::int32_t>(k);
-    }
+    for (const double v : vhc_states[j].values())
+      if (!grid_index(v, resolution_, key.index[i++])) return false;
   return true;
+}
+
+void VscTable::add_to_filter(const GridKey& key) {
+  if (key.combo >= filters_.size()) filters_.resize(key.combo + 1);
+  ComboFilter& filter = filters_[key.combo];
+  if (filter.coords.empty()) {
+    // The combo's first cell: one word per coordinate, around its index.
+    filter.coords.resize(key.size);
+    filter.words.assign(key.size, 0);
+    for (std::uint32_t i = 0; i < key.size; ++i)
+      filter.coords[i] = {key.index[i] >> 6, i, 1};
+  }
+  // Last coordinate first: growing or dropping coordinate i's words moves
+  // only the words of coordinates after it, whose offsets are redone below.
+  for (std::uint32_t i = key.size; i-- > 0;) {
+    CoordBits& bits = filter.coords[i];
+    if (bits.num_words == 0) continue;  // too wide: no filter
+    const std::int32_t word = key.index[i] >> 6;
+    const std::int32_t last =
+        bits.first_word + static_cast<std::int32_t>(bits.num_words) - 1;
+    const std::int32_t lo = std::min(word, bits.first_word);
+    const std::int32_t hi = std::max(word, last);
+    const auto begin = filter.words.begin() + bits.offset;
+    if (hi - lo >= static_cast<std::int32_t>(kMaxFilterWords)) {
+      filter.words.erase(begin, begin + bits.num_words);
+      bits.num_words = 0;
+      continue;
+    }
+    filter.words.insert(begin + bits.num_words,
+                        static_cast<std::size_t>(hi - last), 0);
+    filter.words.insert(filter.words.begin() + bits.offset,
+                        static_cast<std::size_t>(bits.first_word - lo), 0);
+    bits.first_word = lo;
+    bits.num_words = static_cast<std::uint32_t>(hi - lo + 1);
+    filter.words[bits.offset + static_cast<std::uint32_t>(word - lo)] |=
+        std::uint64_t{1} << (key.index[i] & 63);
+  }
+  std::uint32_t offset = 0;
+  for (CoordBits& bits : filter.coords) {
+    bits.offset = offset;
+    offset += bits.num_words;
+  }
 }
 
 void VscTable::record(VhcComboMask combo,
@@ -72,6 +123,7 @@ void VscTable::record(VhcComboMask combo,
   Cell& cell = cells_[key];
   cell.sum_w += power_w;
   ++cell.count;
+  add_to_filter(key);
 
   VscSample sample;
   sample.combo = combo;
@@ -92,8 +144,28 @@ const std::vector<VscSample>& VscTable::samples(VhcComboMask combo) const {
 std::optional<double> VscTable::lookup(
     VhcComboMask combo, std::span<const common::StateVector> vhc_states) const {
   validate_query(combo, vhc_states);
+  if (combo >= filters_.size() || filters_[combo].coords.empty())
+    return std::nullopt;  // combo never recorded
+  const ComboFilter& filter = filters_[combo];
+  // The key is built one coordinate at a time; the first index that no
+  // recorded cell of the combo has proves the miss without the hash probe.
   GridKey key;
-  if (!grid_key(combo, vhc_states, key)) return std::nullopt;
+  key.combo = combo;
+  key.size = static_cast<std::uint32_t>(num_vhcs_ * common::kNumComponents);
+  std::uint32_t i = 0;
+  for (std::size_t j = 0; j < num_vhcs_; ++j)
+    for (const double v : vhc_states[j].values()) {
+      std::int32_t& index = key.index[i];
+      if (!grid_index(v, resolution_, index)) return std::nullopt;
+      const CoordBits& bits = filter.coords[i++];
+      if (bits.num_words == 0) continue;
+      // Unsigned wrap sends indices below the span past its end too.
+      const auto w =
+          static_cast<std::uint32_t>((index >> 6) - bits.first_word);
+      if (w >= bits.num_words ||
+          ((filter.words[bits.offset + w] >> (index & 63)) & 1u) == 0)
+        return std::nullopt;
+    }
   const auto it = cells_.find(key);
   if (it == cells_.end()) return std::nullopt;
   return it->second.sum_w / static_cast<double>(it->second.count);

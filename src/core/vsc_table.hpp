@@ -9,7 +9,15 @@
 // Two states quantize to the same table entry exactly when their integer
 // grid coordinates round(v / resolution) are equal, so the table is an
 // exact-match store: one hash cell per (combo, grid coordinates) holding the
-// running sum and count of its samples, and a lookup is one O(1) probe.
+// running sum and count of its samples.
+//
+// Online states almost never land on a recorded cell, so a lookup first
+// proves most misses cheaply: per combo and per coordinate the table keeps a
+// bitset of the grid indices some recorded cell has there, and a lookup
+// returns nullopt at the first coordinate whose index is not in its set.
+// Only a key that passes every coordinate pays the hash probe. Every
+// recorded cell's indices are in the sets, so the filter never turns a hit
+// into a miss; answers are exactly those of the hash probe alone.
 #pragma once
 
 #include <array>
@@ -81,16 +89,38 @@ class VscTable {
     std::size_t count = 0;
   };
 
+  /// One coordinate's recorded grid indices as a bitset: bit b of word w
+  /// stands for grid index (first_word + w) * 64 + b. Spans wider than
+  /// kMaxFilterWords keep no bitset (num_words == 0) and pass every index.
+  struct CoordBits {
+    std::int32_t first_word = 0;
+    std::uint32_t offset = 0;  ///< first word in ComboFilter::words
+    std::uint32_t num_words = 0;
+  };
+  /// The miss filter of one combo; `coords` is empty until the combo's
+  /// first record() and then holds one entry per live coordinate.
+  struct ComboFilter {
+    std::vector<CoordBits> coords;
+    std::vector<std::uint64_t> words;
+  };
+  /// 4096 grid steps (512 B) per coordinate at most, so a filter costs at
+  /// most 512 B per live coordinate of each recorded combo, however far
+  /// apart the recorded states lie.
+  static constexpr std::uint32_t kMaxFilterWords = 64;
+
   /// Fills `key` for the given states; false when a coordinate is
   /// non-finite or its grid index does not fit in int32.
   [[nodiscard]] bool grid_key(VhcComboMask combo,
                               std::span<const common::StateVector> vhc_states,
                               GridKey& key) const noexcept;
+  /// Adds a recorded cell's grid indices to its combo's filter.
+  void add_to_filter(const GridKey& key);
 
   std::size_t num_vhcs_;
   double resolution_;
   std::unordered_map<VhcComboMask, std::vector<VscSample>> samples_;
   std::unordered_map<GridKey, Cell, GridKeyHash> cells_;
+  std::vector<ComboFilter> filters_;  ///< indexed by combo
   std::size_t total_ = 0;
 
   void validate_query(VhcComboMask combo,

@@ -163,25 +163,27 @@ Counter& FleetEngine::kernel_counter(std::string_view kernel) {
 }
 
 void FleetEngine::run(std::uint64_t ticks) {
-  Counter& ticks_total = metrics_.counter(
-      "vmpower_fleet_ticks_total", "Fleet-wide sampling periods completed");
-  Counter& samples_total =
-      metrics_.counter("vmpower_fleet_samples_processed_total",
-                       "Host tick results aggregated into the ledgers");
-  Counter& retries_total = metrics_.counter(
-      "vmpower_fleet_meter_retries_total", "Meter read retry attempts");
-  Counter& degraded_total =
-      metrics_.counter("vmpower_fleet_degraded_ticks_total",
-                       "Host ticks served from a carried estimate");
-  Counter& stale_total =
-      metrics_.counter("vmpower_fleet_stale_ticks_total",
-                       "Host ticks estimated from previous-tick telemetry");
-  // Register the sampled-tier tick counter up front so scrapes expose the
-  // family (at zero) even while every host still answers exactly; the
-  // labeled counters and invariant gauges appear with the first sampled
-  // tick.
-  metrics_.counter("vmpower_shapley_sampled_ticks_total",
-                   "Host ticks answered by the sampled Shapley tier");
+  if (run_counters_.ticks == nullptr) {
+    run_counters_ = {
+        &metrics_.counter("vmpower_fleet_ticks_total",
+                          "Fleet-wide sampling periods completed"),
+        &metrics_.counter("vmpower_fleet_samples_processed_total",
+                          "Host tick results aggregated into the ledgers"),
+        &metrics_.counter("vmpower_fleet_meter_retries_total",
+                          "Meter read retry attempts"),
+        &metrics_.counter("vmpower_fleet_degraded_ticks_total",
+                          "Host ticks served from a carried estimate"),
+        &metrics_.counter(
+            "vmpower_fleet_stale_ticks_total",
+            "Host ticks estimated from previous-tick telemetry"),
+    };
+    // Register the sampled-tier tick counter up front so scrapes expose the
+    // family (at zero) even while every host still answers exactly; the
+    // labeled counters and invariant gauges appear with the first sampled
+    // tick.
+    metrics_.counter("vmpower_shapley_sampled_ticks_total",
+                     "Host ticks answered by the sampled Shapley tier");
+  }
 
   for (std::uint64_t k = 0; k < ticks; ++k) {
     const std::uint64_t now = tick_++;
@@ -229,11 +231,11 @@ void FleetEngine::run(std::uint64_t ticks) {
 
     if (observer_) observer_(*this, now, results_);
 
-    ticks_total.inc();
-    samples_total.inc(results_.size());
-    retries_total.inc(retries_ - retries_before);
-    degraded_total.inc(degraded_ - degraded_before);
-    stale_total.inc(stale_ - stale_before);
+    run_counters_.ticks->inc();
+    run_counters_.samples->inc(results_.size());
+    run_counters_.retries->inc(retries_ - retries_before);
+    run_counters_.degraded->inc(degraded_ - degraded_before);
+    run_counters_.stale->inc(stale_ - stale_before);
   }
 }
 

@@ -157,6 +157,14 @@ class FleetEngine {
     Gauge* estimate_error = nullptr;
     Gauge* degraded = nullptr;
   };
+  /// run()'s fleet-wide counters, resolved on the first run().
+  struct RunCounters {
+    Counter* ticks = nullptr;
+    Counter* samples = nullptr;
+    Counter* retries = nullptr;
+    Counter* degraded = nullptr;
+    Counter* stale = nullptr;
+  };
 
   void aggregate(const HostTickResult& result);
   /// The kernel-selection counter for a kernel literal, resolved once.
@@ -177,6 +185,7 @@ class FleetEngine {
   HistogramMetric* tick_latency_ = nullptr;
   HistogramMetric* estimator_latency_ = nullptr;
   std::vector<std::pair<std::string_view, Counter*>> kernel_counters_;
+  RunCounters run_counters_;
 
   double last_residual_w_ = 0.0;
   std::uint64_t tick_ = 0;

@@ -550,23 +550,36 @@ void Ledger::wait_for_compaction() const {
 
 // --- queries ----------------------------------------------------------------
 
+// segments_ is epoch-ordered (recover() sorts it, appends go to the back,
+// compaction and truncation rewrite or erase in place) and record times
+// follow epochs, so both searches are binary.
+
+std::span<const Ledger::Segment> Ledger::filled_segments_locked() const {
+  std::span<const Segment> filled(segments_);
+  if (!filled.empty() && filled.back().records == 0)
+    filled = filled.first(filled.size() - 1);
+  return filled;
+}
+
 const Ledger::Segment* Ledger::segment_for_time_locked(double t_s) const {
-  const Segment* found = nullptr;
-  for (const Segment& segment : segments_) {
-    if (segment.records == 0) continue;
-    if (segment.first_time_s <= t_s) found = &segment;
-    else break;
-  }
-  return found;
+  // Last segment whose first record is at or before t_s; written with <= so
+  // a NaN t_s matches none.
+  const auto filled = filled_segments_locked();
+  const auto it = std::upper_bound(
+      filled.begin(), filled.end(), t_s,
+      [](double t, const Segment& s) { return !(s.first_time_s <= t); });
+  return it == filled.begin() ? nullptr : &*std::prev(it);
 }
 
 const Ledger::Segment* Ledger::segment_for_epoch_locked(
     std::uint64_t epoch) const {
-  for (const Segment& segment : segments_)
-    if (segment.records > 0 && segment.first_epoch <= epoch &&
-        epoch <= segment.last_epoch)
-      return &segment;
-  return nullptr;
+  const auto filled = filled_segments_locked();
+  const auto it = std::upper_bound(
+      filled.begin(), filled.end(), epoch,
+      [](std::uint64_t e, const Segment& s) { return e < s.first_epoch; });
+  if (it == filled.begin() || std::prev(it)->last_epoch < epoch)
+    return nullptr;
+  return &*std::prev(it);
 }
 
 std::optional<TickRecord> Ledger::read_at(const Segment& segment,
@@ -622,8 +635,11 @@ std::vector<TickRecord> Ledger::range(std::uint64_t first,
                                       std::uint64_t last) const {
   std::lock_guard lock(mutex_);
   std::vector<TickRecord> records;
-  for (const Segment& segment : segments_) {
-    if (segment.records == 0 || segment.last_epoch < first) continue;
+  const auto filled = filled_segments_locked();
+  const auto start = std::partition_point(
+      filled.begin(), filled.end(),
+      [first](const Segment& s) { return s.last_epoch < first; });
+  for (const Segment& segment : std::span(start, filled.end())) {
     if (segment.first_epoch > last) break;
     const std::uint64_t from = std::max(first, segment.first_epoch);
     const auto it = std::upper_bound(

@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,6 +210,9 @@ class Ledger {
   [[nodiscard]] std::optional<TickRecord> scan_from(
       const Segment& segment, const IndexEntry& start, bool by_epoch,
       double t_s, std::uint64_t epoch) const;
+  /// segments_ without its empty active tail (only the tail can be empty:
+  /// it is pushed by the append that fills it, which can fail).
+  [[nodiscard]] std::span<const Segment> filled_segments_locked() const;
   [[nodiscard]] const Segment* segment_for_time_locked(double t_s) const;
   [[nodiscard]] const Segment* segment_for_epoch_locked(
       std::uint64_t epoch) const;

@@ -334,6 +334,44 @@ TEST_F(FleetEngineTest, CachedInstrumentsScrapeLikePerTickRegistration) {
   }
 }
 
+TEST_F(FleetEngineTest, RunCountersScrapeAlikeInOneRunOrMany) {
+  // run() resolves its fleet-wide counters once; ticking in single-tick
+  // calls or in one call must scrape the same series and values, and the
+  // families appear with the first run(), before any tick.
+  const std::vector<std::string> families = {
+      "vmpower_fleet_ticks_total", "vmpower_fleet_samples_processed_total",
+      "vmpower_fleet_meter_retries_total",
+      "vmpower_fleet_degraded_ticks_total", "vmpower_fleet_stale_ticks_total",
+      "vmpower_shapley_sampled_ticks_total"};
+  const auto series_of = [&](const FleetEngine& engine) {
+    std::vector<std::string> lines;
+    std::istringstream dump(engine.metrics().to_prometheus());
+    for (std::string line; std::getline(dump, line);)
+      for (const std::string& family : families)
+        if (line.find(family) != std::string::npos) {
+          lines.push_back(line);
+          break;
+        }
+    return lines;
+  };
+  FleetOptions options = options_for(2);
+  options.faults = parse_fault_spec("meter:0.4,dropout:0.1,stale:0.3");
+  constexpr std::uint64_t kTicks = 12;
+
+  FleetEngine stepped(options, dataset_);
+  EXPECT_TRUE(series_of(stepped).empty());
+  stepped.run(0);
+  const auto at_zero = series_of(stepped);
+  EXPECT_EQ(at_zero.size(), 3 * families.size());  // HELP, TYPE, value.
+  for (std::uint64_t k = 0; k < kTicks; ++k) stepped.run(1);
+
+  FleetEngine batched(options, dataset_);
+  batched.run(kTicks);
+  EXPECT_GT(batched.degraded_ticks(), 0u);
+  EXPECT_EQ(series_of(stepped), series_of(batched));
+  EXPECT_NE(series_of(batched), at_zero);
+}
+
 TEST_F(FleetEngineTest, OptionsValidation) {
   FleetOptions options = options_for(1);
   options.hosts = 0;

@@ -5,10 +5,13 @@
 #include "ledger/ledger.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -388,6 +391,107 @@ TEST(Ledger, TruncateAfterResizesTheActiveWalInPlace) {
   EXPECT_EQ(log.stats().tail_epoch, 8u);
   EXPECT_EQ(log.stats().segments, 1u);
   EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
+// --- segment search -----------------------------------------------------------
+
+/// Makes this process's file writes fail past `max_bytes` (EFBIG, the way a
+/// full disk fails them) until destroyed.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t max_bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ::getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit limit = previous_;
+    limit.rlim_cur = max_bytes;
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = nullptr;
+};
+
+TEST(Ledger, SegmentSearchMatchesALinearScan) {
+  ScratchDir scratch;
+  LedgerOptions options = small_segments(scratch.path, 4);
+  options.auto_compact = false;
+  Ledger log(options);
+  // Epochs with gaps (times equal epochs), so some epochs and times fall
+  // between records and between segments.
+  std::vector<TickRecord> appended;
+  std::uint64_t epoch = 1;
+  const auto append_up_to = [&](std::size_t count) {
+    for (; appended.size() < count; epoch += 1 + epoch % 3) {
+      appended.push_back(record_at(epoch));
+      log.append(appended.back());
+    }
+  };
+  append_up_to(16);
+  EXPECT_EQ(log.compact_all(), 4u);  // cold segments ...
+  append_up_to(28);                   // ... then sealed ones.
+  // The next append opens a fresh active segment and its write fails,
+  // leaving that segment empty at the tail. (Checked after the limit is
+  // lifted, so a failure report is not itself cut short.)
+  bool append_failed = false;
+  {
+    const FileSizeLimit limit(1);
+    try {
+      log.append(record_at(epoch));
+    } catch (const std::runtime_error&) {
+      append_failed = true;
+    }
+  }
+  EXPECT_TRUE(append_failed);
+  std::size_t cold = 0, sealed = 0, empty_active = 0;
+  for (const SegmentInfo& info : log.segments()) {
+    cold += info.cold;
+    sealed += !info.cold && !info.active;
+    empty_active += info.active && info.records == 0;
+  }
+  EXPECT_EQ(cold, 4u);
+  EXPECT_EQ(sealed, 3u);
+  EXPECT_EQ(empty_active, 1u);
+
+  // The reference: a linear scan over every record appended.
+  const std::uint64_t tail = appended.back().epoch;
+  for (std::uint64_t e = 0; e <= tail + 2; ++e) {
+    const TickRecord* expected = nullptr;
+    for (const TickRecord& record : appended)
+      if (record.epoch == e) expected = &record;
+    const auto found = log.at_epoch(e);
+    ASSERT_EQ(found.has_value(), expected != nullptr) << "epoch " << e;
+    if (expected) expect_bit_identical(*expected, *found);
+  }
+  std::vector<double> times = {-1.0, 0.0, std::nan("")};
+  for (std::uint64_t e = 0; e <= tail + 2; ++e) {
+    times.push_back(static_cast<double>(e));
+    times.push_back(static_cast<double>(e) + 0.5);
+  }
+  for (const double t : times) {
+    const TickRecord* expected = nullptr;
+    for (const TickRecord& record : appended)
+      if (record.time_s <= t) expected = &record;
+    const auto found = log.at_or_before(t);
+    ASSERT_EQ(found.has_value(), expected != nullptr) << "time " << t;
+    if (expected) expect_bit_identical(*expected, *found);
+  }
+  for (std::uint64_t first = 0; first <= tail + 1; first += 3)
+    for (std::uint64_t last = first; last <= tail + 2; last += 5) {
+      std::vector<std::uint64_t> expected, found;
+      for (const TickRecord& record : appended)
+        if (record.epoch >= first && record.epoch <= last)
+          expected.push_back(record.epoch);
+      for (const TickRecord& record : log.range(first, last))
+        found.push_back(record.epoch);
+      EXPECT_EQ(found, expected) << "range " << first << ".." << last;
+    }
 }
 
 // --- metrics ----------------------------------------------------------------

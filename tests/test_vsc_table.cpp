@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -255,6 +256,113 @@ TEST(VscTable, IndexedLookupMatchesLinearScanBitForBit) {
   EXPECT_GT(hits, 100u);
   EXPECT_GT(misses - absent, 100u);
   EXPECT_GT(absent, 100u);
+}
+
+TEST(VscTable, MissFilterAgreesWithLinearScan) {
+  // The per-coordinate miss filter may only reject probes the hash probe
+  // would miss: every answer must equal the restated linear scan.
+  util::Rng rng(1807);
+  constexpr Component kComponents[] = {Component::kCpu, Component::kMemory,
+                                       Component::kDiskIo, Component::kNetIo};
+  std::size_t hits = 0, misses = 0, non_finite = 0;
+  for (const double resolution : {0.01, 0.05, 0.25}) {
+    for (std::size_t num_vhcs = 1; num_vhcs <= 4; ++num_vhcs) {
+      const auto full = static_cast<VhcComboMask>((1u << num_vhcs) - 1);
+      // With two or more VHCs the grand combo is never recorded.
+      const VhcComboMask unrecorded = num_vhcs >= 2 ? full : 0;
+      struct Planted {
+        VhcComboMask combo;
+        std::vector<StateVector> center;
+      };
+      std::vector<Planted> cells;
+      for (int c = 0; c < 30; ++c) {
+        Planted cell{static_cast<VhcComboMask>(rng.uniform_int(1, full)), {}};
+        if (cell.combo == unrecorded) cell.combo = 1;
+        cell.center.resize(num_vhcs);
+        for (std::size_t j = 0; j < num_vhcs; ++j) {
+          if (((cell.combo >> j) & 1u) == 0) continue;
+          for (const Component comp : kComponents)  // negatives included
+            cell.center[j][comp] =
+                static_cast<double>(rng.uniform_int(-300, 300)) * resolution;
+        }
+        cells.push_back(std::move(cell));
+      }
+      std::vector<std::pair<VhcComboMask, std::vector<StateVector>>> records;
+      for (const Planted& cell : cells)
+        for (std::int64_t k = rng.uniform_int(1, 3); k > 0; --k) {
+          auto states = cell.center;
+          for (auto& state : states)
+            for (const Component comp : kComponents)
+              if (state[comp] != 0.0)
+                state[comp] += rng.uniform(-0.45, 0.45) * resolution;
+          records.emplace_back(cell.combo, std::move(states));
+        }
+      // An outlier 1e7 grid steps out on one coordinate: that coordinate's
+      // span is too wide for a bitset, so it keeps no filter.
+      Planted outlier = cells.front();
+      const std::size_t far_vhc =
+          static_cast<std::size_t>(std::countr_zero(outlier.combo));
+      outlier.center[far_vhc][Component::kCpu] += 1e7 * resolution;
+      records.emplace_back(outlier.combo, outlier.center);
+      cells.push_back(outlier);
+      rng.shuffle(records);
+      VscTable table(num_vhcs, resolution);
+      for (const auto& [combo, states] : records)
+        table.record(combo, states, rng.uniform(0.0, 120.0));
+
+      const auto check = [&](VhcComboMask combo,
+                             const std::vector<StateVector>& query) {
+        const auto expected = scan_lookup(table, combo, query);
+        EXPECT_EQ(table.lookup(combo, query), expected)
+            << "resolution " << resolution << " vhcs " << num_vhcs
+            << " combo " << combo;
+        ++(expected ? hits : misses);
+      };
+      for (const Planted& cell : cells) {
+        check(cell.combo, cell.center);
+        check(unrecorded, cell.center);
+        // -0.0 in every zero coordinate is the same cell as +0.0.
+        auto negative_zero = cell.center;
+        for (auto& state : negative_zero)
+          for (const Component comp : kComponents)
+            if (state[comp] == 0.0) state[comp] = -0.0;
+        check(cell.combo, negative_zero);
+        // Every coordinate but the last matches the cell.
+        for (const double step : {-1.0, 1.0, 7.0}) {
+          auto last_off = cell.center;
+          last_off.back()[Component::kNetIo] += step * resolution;
+          check(cell.combo, last_off);
+        }
+        // Each coordinate taken from some cell of the combo, so every one
+        // passes its filter, but the mix was never recorded.
+        for (const Planted& other : cells) {
+          if (other.combo != cell.combo) continue;
+          auto mixed = cell.center;
+          mixed.back() = other.center.back();
+          mixed.front()[Component::kCpu] = other.center.front()[Component::kCpu];
+          check(cell.combo, mixed);
+        }
+        // Non-finite in one coordinate: always a miss.
+        for (const double bad : {kNaN, kInf, -kInf}) {
+          auto query = cell.center;
+          query[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(num_vhcs) - 1))]
+               [kComponents[rng.uniform_int(0, 3)]] = bad;
+          EXPECT_EQ(table.lookup(cell.combo, query), std::nullopt);
+          ++non_finite;
+        }
+      }
+      for (int q = 0; q < 100; ++q) {
+        std::vector<StateVector> query(num_vhcs);
+        for (auto& state : query)
+          state[Component::kCpu] = rng.uniform(-3.0, 3.0);
+        check(static_cast<VhcComboMask>(rng.uniform_int(1, full)), query);
+      }
+    }
+  }
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(misses, 1000u);
+  EXPECT_GT(non_finite, 1000u);
 }
 
 }  // namespace

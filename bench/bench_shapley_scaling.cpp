@@ -26,12 +26,10 @@
 #include "core/estimator.hpp"
 #include "core/linear_approx.hpp"
 #include "core/shapley.hpp"
-#include "core/shapley_fast.hpp"
 #include "core/shapley_sampled.hpp"
 #include "core/vhc.hpp"
 #include "core/vsc_table.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -70,64 +68,11 @@ void BM_ExactShapley(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactShapley)->DenseRange(2, 16, 2)->Complexity(benchmark::oN);
 
-// --- fast kernels ------------------------------------------------------------
+// --- estimator tick ----------------------------------------------------------
 //
-// The three accelerations from the metering hot path: symmetry-collapsed
-// enumeration (compositions instead of masks when VMs duplicate), the
-// thread-parallel mask sweep with deterministic reduction, and the
-// estimator-level tick that stacks both on the batched worth evaluator.
-
-vmp::core::SymmetryGroups make_groups(std::size_t n, std::size_t n_groups) {
-  vmp::core::SymmetryGroups groups;
-  groups.group_of.resize(n);
-  groups.members.resize(n_groups);
-  for (std::size_t i = 0; i < n; ++i) {
-    groups.group_of[i] = i % n_groups;
-    groups.members[i % n_groups].push_back(static_cast<vmp::core::Player>(i));
-  }
-  return groups;
-}
-
-void BM_CollapsedShapley(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto types = static_cast<std::size_t>(state.range(1));
-  const auto groups = make_groups(n, types);
-  // Same game law as BM_ExactShapley, restated over groups so it is
-  // symmetric within each: standalone sum with 3 % pairwise contention.
-  vmp::util::Rng rng(42);
-  std::vector<double> standalone(types);
-  for (double& w : standalone) w = rng.uniform(5.0, 15.0);
-  const WorthFn v = [&](Coalition s) {
-    double sum = 0.0;
-    int members = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (s.contains(static_cast<vmp::core::Player>(i))) {
-        sum += standalone[groups.group_of[i]];
-        ++members;
-      }
-    return members == 0 ? 0.0 : sum * (1.0 - 0.03 * (members - 1));
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vmp::core::shapley_values_grouped(groups, v));
-  }
-}
-BENCHMARK(BM_CollapsedShapley)
-    ->ArgsProduct({{8, 12, 16}, {2, 4}})
-    ->ArgNames({"n", "types"});
-
-void BM_ParallelShapley(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const auto table = make_game_table(n, 42);
-  const WorthFn v = [&](Coalition s) { return table[s.mask()]; };
-  vmp::util::ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vmp::core::shapley_values_parallel(n, v, pool));
-  }
-}
-BENCHMARK(BM_ParallelShapley)
-    ->ArgsProduct({{16, 20}, {2, 4}})
-    ->ArgNames({"n", "threads"});
+// The per-tick cost of the metering hot path: symmetry-collapsed enumeration
+// (compositions instead of masks when VMs duplicate) or the batched mask
+// sweep, both on the cached per-combo worth evaluator.
 
 void BM_EstimatorTick(benchmark::State& state) {
   // One full ShapleyVhcEstimator::estimate() call — the per-tick cost every

@@ -117,11 +117,6 @@ std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
   // the constructors) keeps the cache coherent even if the estimator object
   // was moved since the last call.
   combo_weights_.bind(&approx_);
-  if (!combo_weights_.usable()) {
-    last_kernel_ = "legacy";
-    VMP_TRACE_SPAN("core.shapley_kernel", "core");
-    return estimate_legacy(vms, adjusted_power_w);
-  }
 
   const VhcComboMask full_combo = prepare_tick(vms);
   detect_symmetry_into(player_key_, states_, groups_);
@@ -133,18 +128,14 @@ std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
   // heterogeneous host) exactness is traded for the bounded-time sampled
   // tier with confidence intervals.
   VMP_TRACE_SPAN("core.shapley_kernel", "core");
-  using Kernel = SampledKernelConfig::Kernel;
-  const Kernel forced = sampled_config_.kernel;
-  if (forced == Kernel::kSampled ||
-      (forced == Kernel::kAuto &&
-       groups_.composition_count() > sampled_config_.composition_threshold)) {
+  if (sampled_config_.kernel == SampledKernelConfig::Kernel::kSampled ||
+      groups_.composition_count() > sampled_config_.composition_threshold) {
     last_kernel_ = "sampled";
     return estimate_sampled(adjusted_power_w, full_combo);
   }
   // Collapsed enumerates compositions, not masks, so it has no kMaxPlayers
   // bound: 64 VMs of a few types stay exact. Only the 2^n sweep does.
-  if (forced == Kernel::kCollapsed ||
-      (forced == Kernel::kAuto && groups_.group_count() < vms.size())) {
+  if (groups_.group_count() < vms.size()) {
     last_kernel_ = "collapsed";
     return estimate_collapsed(adjusted_power_w);
   }
@@ -276,11 +267,9 @@ std::vector<double> ShapleyVhcEstimator::estimate_sampled(
   const std::size_t n = states_.size();
   const std::size_t combo_count = std::size_t{1} << universe_.size();
 
-  // Same batched worth backend as the table-less sweep: build P once
-  // (serial), then every worth query is a read-only gather — safe for the
-  // kernel's parallel batches. The VscTable is bypassed on this tier (its
-  // probes would serialize the batch); the tier is approximation-only and
-  // the measurement anchor still pins Σφ.
+  // Same batched worth backend as the table-less sweep: build P once, then
+  // every worth query is a gather. The VscTable is bypassed on this tier;
+  // the tier is approximation-only and the measurement anchor still pins Σφ.
   build_contribution_table(full_combo);
   const SampledWorthFn worth = [&](std::uint64_t members) {
     VhcComboMask combo = 0;
@@ -300,10 +289,9 @@ std::vector<double> ShapleyVhcEstimator::estimate_sampled(
   SampledShapleyOptions options = sampled_config_.sampling;
   // Decorrelate consecutive ticks: mix a per-estimator call counter into the
   // seed so ticks do not reuse draws, while a fixed (config, call order)
-  // still replays byte-identically at any thread count.
+  // still replays byte-identically.
   options.seed += 0x632be59bd9b4e019ULL * static_cast<std::uint64_t>(
                                               ++estimate_calls_);
-  sampler_.set_thread_pool(n >= pool_min_players_ ? pool_ : nullptr);
   SampledShapleyResult result = sampler_.run(n, worth, grand, options);
 
   worth_queries_ += result.worth_evaluations;
@@ -370,51 +358,8 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
   }
 
   std::vector<double> phi(n, 0.0);
-  const std::span<const double> worth{worth_.data(), n_masks};
-  if (pool_ != nullptr && !table_.has_value() && n >= pool_min_players_)
-    accumulate_shapley_phi_parallel(n, worth, weights_, phi, *pool_);
-  else
-    accumulate_shapley_phi(n, worth, weights_, phi);
+  accumulate_shapley_phi(n, {worth_.data(), n_masks}, weights_, phi);
   return phi;
-}
-
-std::vector<double> ShapleyVhcEstimator::estimate_legacy(
-    std::span<const VmSample> vms, double adjusted_power_w) {
-  std::vector<common::VmTypeId> types;
-  types.reserve(vms.size());
-  for (const VmSample& vm : vms) types.push_back(vm.type);
-  const VhcPartition partition(universe_, std::move(types));
-
-  const auto states = states_of(vms);
-  const Coalition grand = Coalition::grand(vms.size());
-
-  const StateWorthFn worth = [&](Coalition s,
-                                 std::span<const common::StateVector> c) {
-    if (s.is_empty()) return 0.0;
-    if (anchor_ && s == grand) return adjusted_power_w;
-    // Idle members add no power (paper Remark 1), so they must not steer the
-    // VHC-combination choice either: v({busy, idle}) has to equal v({busy})
-    // exactly, or the Dummy axiom breaks through weight differences between
-    // combinations.
-    Coalition active = s;
-    for (Player i : s.members())
-      if (c[i] == common::StateVector::zero()) active = active.without(i);
-    if (active.is_empty()) return 0.0;
-    const auto aggregated = partition.aggregate(active, c);
-    const VhcComboMask combo = partition.combo_of(active);
-    ++worth_queries_;
-    if (table_.has_value()) {
-      // Fig. 8's lookup-first path: a directly-measured state beats the
-      // regression.
-      if (const auto hit = table_->lookup(combo, aggregated)) {
-        ++table_hits_;
-        return *hit;
-      }
-    }
-    return approx_.predict(combo, aggregated);
-  };
-
-  return nondet_shapley_values(states, worth);
 }
 
 OracleShapleyEstimator::OracleShapleyEstimator(const sim::CoalitionProbe& probe,

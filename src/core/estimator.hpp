@@ -9,7 +9,11 @@
 //     over the VHC linear approximation of v(S, C), with the grand
 //     coalition's worth anchored to the measured power so Efficiency holds
 //     exactly ("Shapley value always satisfies efficiency even [when] the
-//     v(S,C)s are not accurate", Sec. VII-C).
+//     v(S,C)s are not accurate", Sec. VII-C). Each tick runs one of three
+//     kernels: "collapsed" (exact, composition enumeration when some VMs
+//     are symmetric), "sweep" (exact, the 2^n mask sweep for fully
+//     distinguishable VMs), or "sampled" (approximate, past the
+//     composition threshold). Which exact kernel runs changes no answer.
 //   * OracleShapleyEstimator — exact Shapley with the simulator's coalition
 //     oracle as worth function (the paper's exact-Shapley reference).
 //
@@ -39,10 +43,8 @@ namespace vmp::core {
 /// options of the approximate tier.
 struct SampledKernelConfig {
   enum class Kernel : std::uint8_t {
-    kAuto,       ///< pick by symmetry and composition count (default).
-    kCollapsed,  ///< force the composition enumeration (exact).
-    kSweep,      ///< force the 2^n mask sweep (exact).
-    kSampled,    ///< force the stratified sampling tier (approximate).
+    kAuto,     ///< pick by symmetry and composition count (default).
+    kSampled,  ///< force the stratified sampling tier (approximate).
   };
   Kernel kernel = Kernel::kAuto;
   /// Auto mode falls through to the sampled tier once the exact kernels
@@ -121,16 +123,15 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   }
 
   /// Which kernel the last estimate() call dispatched to: "collapsed",
-  /// "sweep", "sampled", "legacy", or "none" before the first call. Feeds
-  /// the fleet's fast-path selection counters.
+  /// "sweep", "sampled", or "none" before the first call. Feeds the fleet's
+  /// fast-path selection counters.
   [[nodiscard]] std::string_view last_kernel() const noexcept {
     return last_kernel_;
   }
 
-  /// Kernel-selection policy and sampling knobs. The sampled tier runs on
-  /// the dense combo-weight cache only (<= ComboWeightCache::kMaxDenseVhcs
-  /// VHCs) and bypasses the VscTable — it is approximation-only, with the
-  /// measurement anchor still pinning Σφ. Consecutive estimate() calls mix a
+  /// Kernel-selection policy and sampling knobs. The sampled tier bypasses
+  /// the VscTable — it is approximation-only, with the measurement anchor
+  /// still pinning Σφ. Consecutive estimate() calls mix a
   /// call counter into the configured seed so ticks do not share draws;
   /// the sequence is still reproducible for a fixed (config, call order).
   void set_sampled_kernel(const SampledKernelConfig& config) noexcept {
@@ -144,18 +145,6 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   /// pre-normalization efficiency gap, evaluation counts, stop reason).
   [[nodiscard]] const SampledTickStats& last_sampled() const noexcept {
     return last_sampled_;
-  }
-
-  /// Opts the pure-arithmetic (table-less) mask sweep into thread-parallel
-  /// accumulation on `pool` for games with at least `min_players`
-  /// distinguishable players. The chunked reduction is deterministic, so the
-  /// result is byte-identical for any pool size — but the call must not come
-  /// from a task already running on `pool` (see util::ThreadPool). Pass
-  /// nullptr to go back to serial.
-  void set_thread_pool(util::ThreadPool* pool,
-                       std::size_t min_players = 14) noexcept {
-    pool_ = pool;
-    pool_min_players_ = min_players;
   }
 
   [[nodiscard]] std::vector<double> estimate(std::span<const VmSample> vms,
@@ -191,10 +180,6 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   /// sub-combo of full_combo — the shared worth backend of the batched
   /// sweep and the sampled tier.
   void build_contribution_table(VhcComboMask full_combo);
-  /// Pre-kernel closure path, kept for universes too large for the dense
-  /// combo-weight cache.
-  [[nodiscard]] std::vector<double> estimate_legacy(
-      std::span<const VmSample> vms, double adjusted_power_w);
 
   VhcUniverse universe_;
   VhcLinearApprox approx_;
@@ -206,7 +191,7 @@ class ShapleyVhcEstimator final : public PowerEstimator {
 
   // Cross-tick caches and reusable scratch. estimate() mutates these, so a
   // single estimator must not be shared across threads (each fleet host
-  // agent owns its own); the opt-in parallel sweep only reads them.
+  // agent owns its own).
   ComboWeightCache combo_weights_;
   std::optional<VhcPartition> partition_;
   std::vector<common::VmTypeId> cached_types_;
@@ -227,8 +212,6 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   std::vector<double> binom_;               // flattened Pascal triangle.
   std::size_t binom_n_ = 0;
   std::vector<double> phi_group_;
-  util::ThreadPool* pool_ = nullptr;
-  std::size_t pool_min_players_ = 14;
   SampledKernelConfig sampled_config_;
   SampledTickStats last_sampled_;
   SampledShapley sampler_;

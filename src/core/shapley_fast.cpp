@@ -1,69 +1,13 @@
 #include "core/shapley_fast.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 namespace vmp::core {
 namespace {
 
 constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
-
-/// Fixed chunk count for the parallel sweep. Independent of the pool size so
-/// the chunk boundaries — and therefore the reduction order — never change
-/// with --threads.
-constexpr std::size_t kParallelChunks = 64;
-
-/// Pascal's triangle up to row n (exact in double for n <= kMaxPlayers).
-std::vector<std::vector<double>> binomial_table(std::size_t n) {
-  std::vector<std::vector<double>> c(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) {
-    c[i].assign(i + 1, 1.0);
-    for (std::size_t j = 1; j < i; ++j) c[i][j] = c[i - 1][j - 1] + c[i - 1][j];
-  }
-  return c;
-}
-
-/// Runs fn(chunk, begin, end) over a fixed even partition of [0, n_masks)
-/// and blocks until every chunk finished. Waits on its own completion
-/// counter rather than ThreadPool::wait_idle so concurrent users of the pool
-/// cannot extend the wait (and the nesting caveat stays the pool's only
-/// restriction). The first exception thrown by a chunk is rethrown here.
-void run_mask_chunks(
-    util::ThreadPool& pool, std::size_t n_masks, std::size_t chunk_count,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t done = 0;
-  std::exception_ptr first_error;
-
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    const std::size_t begin = c * n_masks / chunk_count;
-    const std::size_t end = (c + 1) * n_masks / chunk_count;
-    pool.submit([&, c, begin, end] {
-      try {
-        fn(c, begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      // Notify while holding the lock: the waiter owns the condvar's stack
-      // frame and may destroy it the moment it observes done == chunk_count,
-      // so the signal must complete before the mutex is released.
-      const std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      done_cv.notify_one();
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(mu);
-  done_cv.wait(lock, [&] { return done == chunk_count; });
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 }  // namespace
 
@@ -116,138 +60,13 @@ SymmetryGroups detect_symmetry(std::span<const std::size_t> keys,
   return out;
 }
 
-std::vector<double> shapley_values_grouped(const SymmetryGroups& groups,
-                                           const WorthFn& v) {
-  const std::size_t n = groups.player_count();
-  if (n == 0)
-    throw std::invalid_argument("shapley_values_grouped: n must be >= 1");
-  if (n > kMaxPlayers)
-    throw std::invalid_argument("shapley_values_grouped: n exceeds kMaxPlayers");
-  const std::size_t r = groups.group_count();
-  std::size_t covered = 0;
-  for (const auto& g : groups.members) covered += g.size();
-  if (r == 0 || covered != n)
-    throw std::invalid_argument(
-        "shapley_values_grouped: groups do not partition the players");
-
-  // Per-group sizes, prefix masks (representative coalition for k members of
-  // group g = its first k players) and mixed-radix strides.
-  std::vector<std::size_t> size(r);
-  std::vector<std::vector<Coalition::Mask>> prefix(r);
-  std::vector<std::size_t> stride(r);
-  std::size_t comps = 1;
-  for (std::size_t g = 0; g < r; ++g) {
-    size[g] = groups.members[g].size();
-    prefix[g].assign(size[g] + 1, 0);
-    for (std::size_t k = 0; k < size[g]; ++k)
-      prefix[g][k + 1] =
-          prefix[g][k] | (Coalition::Mask{1} << groups.members[g][k]);
-    stride[g] = comps;
-    comps *= size[g] + 1;
-  }
-
-  // Evaluate one representative coalition per composition.
-  std::vector<double> worth(comps);
-  std::vector<std::size_t> k(r, 0);
-  for (std::size_t idx = 0; idx < comps; ++idx) {
-    Coalition::Mask mask = 0;
-    for (std::size_t g = 0; g < r; ++g) mask |= prefix[g][k[g]];
-    worth[idx] = v(Coalition{mask});
-    for (std::size_t g = 0; g < r; ++g) {
-      if (++k[g] <= size[g]) break;
-      k[g] = 0;
-    }
-  }
-
-  std::vector<double> weight;
-  fill_shapley_weights(n, weight);
-  const auto binom = binomial_table(n);
-
-  // Φ_{i in group j} = Σ_k C(g_j−1, k_j) Π_{t≠j} C(g_t, k_t) w(|k|)
-  //                        [V(k+e_j) − V(k)]
-  // with the coefficient factored as [Π_t C(g_t, k_t)] · (g_j − k_j) / g_j.
-  std::vector<double> phi_group(r, 0.0);
-  std::fill(k.begin(), k.end(), 0);
-  for (std::size_t idx = 0; idx < comps; ++idx) {
-    std::size_t s = 0;
-    double prod = 1.0;
-    for (std::size_t g = 0; g < r; ++g) {
-      s += k[g];
-      prod *= binom[size[g]][k[g]];
-    }
-    if (s < n) {
-      const double w = weight[s];
-      const double base = worth[idx];
-      for (std::size_t j = 0; j < r; ++j) {
-        if (k[j] == size[j]) continue;
-        const double coeff =
-            prod * static_cast<double>(size[j] - k[j]) / static_cast<double>(size[j]);
-        phi_group[j] += coeff * w * (worth[idx + stride[j]] - base);
-      }
-    }
-    for (std::size_t g = 0; g < r; ++g) {
-      if (++k[g] <= size[g]) break;
-      k[g] = 0;
-    }
-  }
-
-  std::vector<double> phi(n, 0.0);
-  for (std::size_t j = 0; j < r; ++j)
-    for (const Player p : groups.members[j]) phi[p] = phi_group[j];
-  return phi;
-}
-
-void accumulate_shapley_phi_parallel(std::size_t n,
-                                     std::span<const double> worth,
-                                     std::span<const double> weights,
-                                     std::span<double> phi,
-                                     util::ThreadPool& pool) {
-  const std::size_t n_masks = std::size_t{1} << n;
-  const std::size_t chunk_count = std::min(kParallelChunks, n_masks);
-  std::vector<std::vector<double>> partial(chunk_count);
-  run_mask_chunks(pool, n_masks, chunk_count,
-                  [&](std::size_t c, std::size_t begin, std::size_t end) {
-                    partial[c].assign(n, 0.0);
-                    accumulate_shapley_phi_range(n, worth, weights, partial[c],
-                                                 begin, end);
-                  });
-  // Chunk-ordered reduction: the summation order depends only on the fixed
-  // chunking, never on which worker ran which chunk.
-  for (std::size_t c = 0; c < chunk_count; ++c)
-    for (std::size_t i = 0; i < n; ++i) phi[i] += partial[c][i];
-}
-
-std::vector<double> shapley_values_parallel(std::size_t n, const WorthFn& v,
-                                            util::ThreadPool& pool) {
-  if (n == 0)
-    throw std::invalid_argument("shapley_values_parallel: n must be >= 1");
-  if (n > kMaxPlayers)
-    throw std::invalid_argument("shapley_values_parallel: n exceeds kMaxPlayers");
-
-  const std::size_t n_masks = std::size_t{1} << n;
-  const std::size_t chunk_count = std::min(kParallelChunks, n_masks);
-
-  std::vector<double> worth(n_masks);
-  run_mask_chunks(pool, n_masks, chunk_count,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t mask = begin; mask < end; ++mask)
-                      worth[mask] = v(Coalition{static_cast<Coalition::Mask>(mask)});
-                  });
-
-  std::vector<double> weight;
-  fill_shapley_weights(n, weight);
-  std::vector<double> phi(n, 0.0);
-  accumulate_shapley_phi_parallel(n, worth, weight, phi, pool);
-  return phi;
-}
-
 void ComboWeightCache::bind(const VhcLinearApprox* approx) {
   if (approx == approx_) return;
   approx_ = approx;
   weights_.clear();
   status_.clear();
   stride_ = 0;
-  if (approx_ == nullptr || approx_->num_vhcs() > kMaxDenseVhcs) return;
+  if (approx_ == nullptr) return;
   stride_ = approx_->num_vhcs() * common::kNumComponents;
   const std::size_t combos = std::size_t{1} << approx_->num_vhcs();
   weights_.assign(combos * stride_, 0.0);
@@ -256,9 +75,8 @@ void ComboWeightCache::bind(const VhcLinearApprox* approx) {
 }
 
 std::span<const double> ComboWeightCache::effective_weights(VhcComboMask combo) {
-  if (!usable())
-    throw std::logic_error(
-        "ComboWeightCache: unbound or universe exceeds kMaxDenseVhcs");
+  if (approx_ == nullptr)
+    throw std::logic_error("ComboWeightCache: unbound");
   if (combo >= status_.size())
     throw std::out_of_range("ComboWeightCache: combo out of range");
   double* slot = weights_.data() + std::size_t{combo} * stride_;

@@ -1,20 +1,21 @@
-// Fast exact-Shapley kernels for the metering hot path.
+// Fast exact-Shapley building blocks for the metering hot path.
 //
-// Three independent accelerations of core::shapley_values, all exact:
+// Two independent accelerations of core::shapley_values, both exact:
 //
 // 1. Symmetry collapse (paper Sec. V-B/V-C): datacenter VMs fall into r ≪ n
 //    homogeneous types, and same-type VMs holding identical component states
 //    are *symmetric players* — any coalition's worth depends only on how
 //    many members of each group it contains, never on which ones. The
-//    collapsed solver therefore enumerates type-count *compositions*
-//    (Π_j (g_j + 1) worth evaluations, e.g. 625 for 4 groups of 4) instead
-//    of raw masks (2^n, e.g. 65536), with zero approximation error:
+//    estimator's collapsed kernel (ShapleyVhcEstimator::estimate_collapsed)
+//    therefore enumerates type-count *compositions* (Π_j (g_j + 1) worth
+//    evaluations, e.g. 625 for 4 groups of 4) instead of raw masks (2^n,
+//    e.g. 65536), with zero approximation error:
 //
 //      Φ_{i ∈ group j} = Σ_k  C(g_j−1, k_j) · Π_{t≠j} C(g_t, k_t)
 //                             · w(|k|) · [V(k + e_j) − V(k)]
 //
 //    where V(k) is the worth of any coalition with composition k and w is
-//    the per-size Shapley weight.
+//    the per-size Shapley weight. detect_symmetry finds the groups.
 //
 // 2. A batched worth evaluator for the VHC linear approximation
 //    (ComboWeightCache): every coalition worth of a VhcLinearApprox is a dot
@@ -24,11 +25,6 @@
 //    resolves predict()'s disjoint-cover fallback for unfitted combos into
 //    an *effective* weight vector once, so the fallback costs nothing per
 //    tick afterwards.
-//
-// 3. A thread-parallel mask sweep for large distinguishable games,
-//    partitioning the mask range into fixed chunks over util::ThreadPool
-//    with a chunk-ordered deterministic reduction: the result is
-//    byte-identical for any pool size.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +34,6 @@
 #include "common/state_vector.hpp"
 #include "core/coalition.hpp"
 #include "core/linear_approx.hpp"
-#include "core/shapley.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 
@@ -83,35 +77,6 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
                           std::span<const common::StateVector> states,
                           SymmetryGroups& out);
 
-/// Exact Shapley values via symmetry-collapsed composition enumeration.
-/// Players in the same group must be interchangeable under v (the solver
-/// evaluates v on one representative coalition per composition and
-/// broadcasts the per-group value to every member). Falls back gracefully —
-/// with all-singleton groups this is the plain mask sweep, just slower than
-/// shapley_values, so callers should collapse only when group_count <
-/// player_count. Throws std::invalid_argument on 0 players or more than
-/// kMaxPlayers.
-[[nodiscard]] std::vector<double> shapley_values_grouped(
-    const SymmetryGroups& groups, const WorthFn& v);
-
-/// Exact Shapley values via a thread-parallel mask sweep: worth evaluation
-/// and marginal accumulation are partitioned into fixed chunks (independent
-/// of the pool size) and reduced in chunk order, so the result is
-/// byte-identical at any thread count. v must be safe to call concurrently.
-/// Must not be called from a task running on `pool` (see util::ThreadPool).
-/// Throws std::invalid_argument on n == 0 or n > kMaxPlayers.
-[[nodiscard]] std::vector<double> shapley_values_parallel(
-    std::size_t n, const WorthFn& v, util::ThreadPool& pool);
-
-/// Chunk-parallel variant of accumulate_shapley_phi over a fully
-/// materialized worth table. phi must be zeroed by the caller. Deterministic
-/// for any pool size (fixed chunking + chunk-ordered reduction).
-void accumulate_shapley_phi_parallel(std::size_t n,
-                                     std::span<const double> worth,
-                                     std::span<const double> weights,
-                                     std::span<double> phi,
-                                     util::ThreadPool& pool);
-
 /// Cross-tick cache of per-combo *effective* power-mapping vectors for one
 /// VhcLinearApprox: the fitted weights for fitted combos, and the summed
 /// disjoint-cover weights for unfitted-but-coverable combos (extracted by
@@ -119,14 +84,10 @@ void accumulate_shapley_phi_parallel(std::size_t n,
 /// one predict() would choose). Entries are built lazily on first use and
 /// are valid for the lifetime of the bound approximation, which is
 /// immutable once fitted — this is what lets the estimator answer every
-/// approximation worth as one dot product, tick after tick.
+/// approximation worth as one dot product, tick after tick. Storage is dense,
+/// 2^num_vhcs vectors; VhcUniverse::kMaxVhcs = 12 bounds it at 4096.
 class ComboWeightCache {
  public:
-  /// Dense per-combo storage is 2^num_vhcs vectors; beyond this VHC count
-  /// callers should keep the unbatched path (realistic universes have
-  /// r <= 5 types).
-  static constexpr std::size_t kMaxDenseVhcs = 12;
-
   ComboWeightCache() = default;
 
   /// Binds (or re-binds) the approximation. Rebinding to a different object
@@ -134,15 +95,10 @@ class ComboWeightCache {
   /// paths may call this unconditionally.
   void bind(const VhcLinearApprox* approx);
 
-  /// True when the bound universe fits the dense layout.
-  [[nodiscard]] bool usable() const noexcept {
-    return approx_ != nullptr && approx_->num_vhcs() <= kMaxDenseVhcs;
-  }
-
   /// The effective weight vector for `combo` (num_vhcs * kNumComponents
   /// doubles, VHC-major). Throws std::out_of_range when the combo has no
-  /// fitted cover (mirroring predict()), std::logic_error when unbound or
-  /// over the dense limit. combo 0 yields an all-zero vector.
+  /// fitted cover (mirroring predict()), std::logic_error when unbound.
+  /// combo 0 yields an all-zero vector.
   [[nodiscard]] std::span<const double> effective_weights(VhcComboMask combo);
 
   /// predict() through the cache: dot(states, effective_weights(combo)).

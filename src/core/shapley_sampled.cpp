@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -16,8 +13,8 @@ namespace vmp::core {
 namespace {
 
 /// Counter-based RNG: each (seed, stream) pair keys an independent splitmix64
-/// walk, so round r of a run can be generated in isolation on any thread and
-/// the draw sequence depends only on (seed, r). The stream offset constant is
+/// walk, so round r of a run can be generated in isolation and the draw
+/// sequence depends only on (seed, r). The stream offset constant is
 /// deliberately *not* the splitmix64 gamma — offsetting by a multiple of the
 /// gamma would make stream k start exactly where stream 0 is after k steps,
 /// overlapping the windows.
@@ -68,8 +65,8 @@ inline void welford(std::uint64_t& cnt, double& mean, double& m2,
 /// are mutually independent — which is exactly what makes the per-player
 /// stratum-variance sum the true variance of φ̂_i (nested prefixes of one
 /// permutation would be positively correlated across sizes and the CI would
-/// undercover). Runs on pool threads: touches only the round's own slots,
-/// and the RNG state derives from (seed, round) alone.
+/// undercover). Touches only the round's own slots, and the RNG state
+/// derives from (seed, round) alone.
 void eval_round(std::size_t n, std::uint64_t seed, std::uint64_t round,
                 const SampledWorthFn& worth, std::uint64_t* masks,
                 double* out) {
@@ -235,40 +232,12 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
 
       batch_mask_.resize(rounds * per_round);
       batch_worth_.resize(rounds * per_round);
-      const auto run_round = [&](std::size_t r) {
-        eval_round(n, options.seed, result.rounds + r,
-                   worth, batch_mask_.data() + r * per_round,
+      for (std::size_t r = 0; r < rounds; ++r)
+        eval_round(n, options.seed, result.rounds + r, worth,
+                   batch_mask_.data() + r * per_round,
                    batch_worth_.data() + r * per_round);
-      };
-      if (pool_ != nullptr && rounds > 1) {
-        // Shared pool: wait on this batch's own completion counter, never
-        // wait_idle (see run_mask_chunks in shapley_fast.cpp).
-        std::mutex mu;
-        std::condition_variable done_cv;
-        std::size_t done = 0;
-        std::exception_ptr first_error;
-        for (std::size_t r = 0; r < rounds; ++r) {
-          pool_->submit([&, r] {
-            try {
-              run_round(r);
-            } catch (...) {
-              const std::lock_guard<std::mutex> lock(mu);
-              if (!first_error) first_error = std::current_exception();
-            }
-            const std::lock_guard<std::mutex> lock(mu);
-            ++done;
-            done_cv.notify_one();
-          });
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        done_cv.wait(lock, [&] { return done == rounds; });
-        if (first_error) std::rethrow_exception(first_error);
-      } else {
-        for (std::size_t r = 0; r < rounds; ++r) run_round(r);
-      }
 
-      // Serial fold in round order on the calling thread: the accumulator
-      // state after this loop is independent of how the batch was scheduled.
+      // Fold in round order, after the whole batch is drawn.
       for (std::size_t r = 0; r < rounds; ++r) {
         for (std::size_t size = 2; size + 2 <= n; ++size) {
           const std::size_t at = r * per_round + size - 2;
@@ -330,10 +299,8 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
 SampledShapleyResult sampled_shapley_values(std::size_t n,
                                             const SampledWorthFn& worth,
                                             double grand_worth,
-                                            const SampledShapleyOptions& options,
-                                            util::ThreadPool* pool) {
+                                            const SampledShapleyOptions& options) {
   SampledShapley solver;
-  solver.set_thread_pool(pool);
   return solver.run(n, worth, grand_worth, options);
 }
 

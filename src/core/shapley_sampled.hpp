@@ -43,12 +43,12 @@
 // does).
 //
 // Determinism: every round's draws come from its own counter-derived
-// stream, batches evaluate rounds in parallel into pre-assigned slots, and
-// the accumulator fold happens on the calling thread in round order — the
-// result is byte-identical at any thread count for a fixed seed. (A
-// `budget_ns` stop is the one escape hatch: wall-clock stopping points
-// depend on machine speed, so only the sample-count and half-width rules
-// preserve cross-machine identity.)
+// stream, a batch evaluates its rounds into pre-assigned slots, and the
+// accumulator fold then runs in round order — the result is a pure function
+// of (seed, game, options). (A `budget_ns` stop is the one escape hatch:
+// wall-clock stopping points depend on machine speed, so only the
+// sample-count and half-width rules preserve cross-machine identity.) The
+// kernel is single-threaded: the fleet parallelises across hosts instead.
 #pragma once
 
 #include <cstddef>
@@ -57,18 +57,16 @@
 #include <vector>
 
 #include "core/coalition.hpp"  // kMaxSampledPlayers
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 
 /// Worth of the coalition whose members are the set bits of `members`
-/// (player i <-> bit i). Must be safe to call concurrently — batches are
-/// evaluated on the thread pool.
+/// (player i <-> bit i).
 using SampledWorthFn = std::function<double(std::uint64_t members)>;
 
 struct SampledShapleyOptions {
   /// Base seed of the counter-based draw streams. Runs with equal
-  /// (seed, game) are byte-identical at any thread count.
+  /// (seed, game) are byte-identical.
   std::uint64_t seed = 1;
   /// Worth-evaluation budget (warm-up included). The deterministic warm-up
   /// always completes (~2n evaluations), so the effective floor is one
@@ -86,7 +84,7 @@ struct SampledShapleyOptions {
   /// large n, which is what the fleet invariant consumes.
   double confidence_z = 3.0;
   /// Sampling rounds between stop-rule checks (one round = n−3 middle-size
-  /// evaluations); also the parallel fan-out unit.
+  /// evaluations).
   std::size_t batch_rounds = 16;
 };
 
@@ -125,15 +123,9 @@ struct SampledShapleyResult {
 
 /// Reusable solver object: scratch and accumulator storage survive across
 /// run() calls, so a per-tick caller (the estimator) allocates only on the
-/// first tick. Not thread-safe; the parallelism is internal.
+/// first tick. Not thread-safe.
 class SampledShapley {
  public:
-  /// Opts batch evaluation into `pool` (nullptr = serial). The fold stays
-  /// on the calling thread in round order either way, so the pool size
-  /// never shows in the result. Must not be called from a task already
-  /// running on `pool` (see util::ThreadPool).
-  void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
-
   /// Estimates the Shapley vector of the n-player game `worth` whose grand
   /// coalition worth is `grand_worth` (anchored by the caller — the kernel
   /// never evaluates the full mask). Throws std::invalid_argument on n == 0,
@@ -147,8 +139,6 @@ class SampledShapley {
   void fold_eval(std::size_t n, std::uint64_t members, std::size_t size,
                  double value);
 
-  util::ThreadPool* pool_ = nullptr;
-
   // Stratum accumulators, player-major by size: index i * (n + 1) + size.
   // plus = strata of coalitions containing the player, minus = not.
   std::vector<std::uint64_t> plus_cnt_, minus_cnt_;
@@ -158,8 +148,8 @@ class SampledShapley {
   // ignored — the fallback mean/variance for thin pair strata.
   std::vector<std::uint64_t> pool_cnt_;
   std::vector<double> pool_mean_, pool_m2_;
-  // Batch scratch: per-(round, size) coalition masks and worths, written by
-  // the pool tasks into disjoint slots, folded in round order.
+  // Batch scratch: per-(round, size) coalition masks and worths, folded in
+  // round order once the batch is evaluated.
   std::vector<std::uint64_t> batch_mask_;
   std::vector<double> batch_worth_;
   std::vector<double> var_;  ///< per-player variance scratch.
@@ -168,6 +158,6 @@ class SampledShapley {
 /// One-shot convenience wrapper around SampledShapley::run.
 [[nodiscard]] SampledShapleyResult sampled_shapley_values(
     std::size_t n, const SampledWorthFn& worth, double grand_worth,
-    const SampledShapleyOptions& options, util::ThreadPool* pool = nullptr);
+    const SampledShapleyOptions& options);
 
 }  // namespace vmp::core

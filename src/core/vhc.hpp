@@ -28,7 +28,11 @@ class VhcUniverse {
   /// kMaxVhcs types.
   explicit VhcUniverse(std::vector<common::VmTypeId> types);
 
-  static constexpr std::size_t kMaxVhcs = 16;
+  /// The estimator keeps one weight vector per VHC combination (2^r), so
+  /// the type count is capped well above the paper's r <= 7 but low enough
+  /// that the dense table stays small (4096 combos). VscTable and
+  /// VhcLinearApprox enforce the same bound.
+  static constexpr std::size_t kMaxVhcs = 12;
 
   [[nodiscard]] std::size_t size() const noexcept { return types_.size(); }
   /// Dense VHC index of a type; throws std::out_of_range for unknown types.

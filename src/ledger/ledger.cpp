@@ -184,11 +184,31 @@ void Ledger::recover() {
       recovery_.records += segment->records;
       segments_.push_back(std::move(*segment));
     }
-  for (const auto& path : wal_files)
-    if (auto segment = recover_wal(path)) {
-      recovery_.records += segment->records;
-      segments_.push_back(std::move(*segment));
+  const std::size_t cold_count = segments_.size();
+  for (const auto& path : wal_files) {
+    auto segment = recover_wal(path);
+    if (!segment) continue;
+    // A WAL whose epochs a cold segment already holds is a compaction
+    // source that outlived its rename: the cold copy wins. (It can also be
+    // truncate_after's rewrite of a cold segment it never got to remove;
+    // keeping the cold file undoes that rewind, which the checkpoint
+    // restore that asked for it repeats on every start.)
+    const auto covering = std::find_if(
+        segments_.begin(), segments_.begin() + cold_count,
+        [&segment](const Segment& cold) {
+          return cold.first_epoch <= segment->first_epoch &&
+                 segment->last_epoch <= cold.last_epoch;
+        });
+    if (covering != segments_.begin() + cold_count) {
+      VMP_LOG_WARN("ledger: %s duplicates %s; removing it",
+                   path.filename().string().c_str(),
+                   covering->path.filename().string().c_str());
+      std::filesystem::remove(path);
+      continue;
     }
+    recovery_.records += segment->records;
+    segments_.push_back(std::move(*segment));
+  }
   recovery_.segments = segments_.size();
   std::sort(segments_.begin(), segments_.end(),
             [](const Segment& a, const Segment& b) {
@@ -357,6 +377,25 @@ void Ledger::open_active_locked(std::uint64_t first_epoch) {
   segments_.push_back(std::move(segment));
 }
 
+void Ledger::rewind_active_locked() {
+  // Close first: a failed flush leaves its bytes in the stream's buffer,
+  // and close() may still write part of them. The resize then drops
+  // everything past the last whole frame, and the reopen starts with a
+  // clean stream state.
+  Segment& tail = segments_.back();
+  active_.close();
+  if (tail.records == 0) {
+    // Not even the header is known to be on disk: start the file over.
+    active_.open(tail.path, std::ios::binary | std::ios::trunc);
+    active_.write(kWalMagic.data(),
+                  static_cast<std::streamsize>(kWalMagic.size()));
+  } else {
+    std::error_code ignored;  // a shrink cannot hit the size limit.
+    std::filesystem::resize_file(tail.path, tail.frames_end, ignored);
+    active_.open(tail.path, std::ios::binary | std::ios::app);
+  }
+}
+
 void Ledger::seal_active_locked() {
   active_.close();
   segments_.back().kind = Kind::kSealed;
@@ -379,9 +418,11 @@ void Ledger::append(const TickRecord& record) {
     Segment& tail = segments_.back();
     active_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
     active_.flush();
-    if (!active_)
+    if (!active_) {
+      rewind_active_locked();
       throw std::runtime_error("ledger: append failed on " +
                                tail.path.string());
+    }
     if (tail.records == 0) {
       tail.first_epoch = record.epoch;
       tail.first_time_s = record.time_s;

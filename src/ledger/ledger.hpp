@@ -25,7 +25,9 @@
 // truncated at the first torn/corrupt record — a crash mid-append loses at
 // most that one record, and the loss is WARN-logged and counted, never
 // silent. Cold segments load by footer; a cold file with a bad footer falls
-// back to a full scan and is re-queued for compaction.
+// back to a full scan and is re-queued for compaction. A WAL whose epochs
+// lie inside a cold segment (a crash between compaction's rename and its
+// removal of the source) is removed, so no epoch is loaded twice.
 //
 // Epochs are strictly ascending across the whole ledger and 1:1 with
 // snapshot publish epochs, which is what lets checkpoint restore replay the
@@ -132,7 +134,9 @@ class Ledger {
 
   /// Appends one record. `record.epoch` must exceed the current tail epoch
   /// (throws std::logic_error otherwise); the frame is flushed to the OS
-  /// before return. Single writer.
+  /// before return. A failed write (full disk) throws std::runtime_error
+  /// and leaves the segment at its last whole frame, so a later append can
+  /// succeed. Single writer.
   void append(const TickRecord& record);
 
   /// Newest record with time_s <= t_s; nullopt when t_s predates the oldest
@@ -197,6 +201,10 @@ class Ledger {
   std::optional<Segment> recover_cold(const std::filesystem::path& path);
 
   void open_active_locked(std::uint64_t first_epoch);
+  /// After a failed write or flush: truncates the active segment back to
+  /// its last whole frame and reopens it with a clean stream, so the next
+  /// append can succeed once space returns.
+  void rewind_active_locked();
   void seal_active_locked();
   /// Compacts the oldest sealed segment (if any); returns whether one was.
   bool compact_one();

@@ -8,6 +8,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -494,6 +496,57 @@ TEST(Ledger, SegmentSearchMatchesALinearScan) {
     }
 }
 
+TEST(Ledger, FailedAppendRollsBackAndTheNextAppendSucceeds) {
+  ScratchDir scratch;
+  LedgerOptions options = small_segments(scratch.path, 6);
+  options.auto_compact = false;
+  auto log = std::make_unique<Ledger>(options);
+  std::vector<TickRecord> appended;
+  const auto append = [&](std::uint64_t epoch) {
+    appended.push_back(record_at(epoch));
+    log->append(appended.back());
+  };
+  for (std::uint64_t epoch = 1; epoch <= 8; ++epoch) append(epoch);
+  // wal-1 sealed with 6 records, wal-7 active with 2.
+  fs::path active;
+  for (const auto& entry : fs::directory_iterator(scratch.path))
+    active = std::max(active, entry.path());
+  const std::uintmax_t intact = fs::file_size(active);
+
+  // Mid-segment: the disk fills 10 bytes into the next frame. Both tries
+  // fail, and neither leaves a torn frame behind.
+  {
+    const FileSizeLimit limit(intact + 10);
+    EXPECT_THROW(log->append(record_at(9)), std::runtime_error);
+    EXPECT_THROW(log->append(record_at(9)), std::runtime_error);
+  }
+  EXPECT_EQ(fs::file_size(active), intact);
+  append(9);  // space is back: the same ledger appends again.
+  append(10);
+
+  // A fresh segment whose very first write fails (the header included).
+  append(11);
+  append(12);  // seals wal-7.
+  {
+    const FileSizeLimit limit(1);
+    EXPECT_THROW(log->append(record_at(13)), std::runtime_error);
+  }
+  append(13);
+  append(14);
+  EXPECT_EQ(log->stats().records, appended.size());
+
+  // A reopen recovers exactly what was appended, with nothing torn.
+  log.reset();
+  EXPECT_TRUE(verify_dir(scratch.path).clean());
+  log = std::make_unique<Ledger>(options);
+  EXPECT_EQ(log->recovery().torn_records, 0u);
+  EXPECT_EQ(log->recovery().records, appended.size());
+  const auto recovered = log->range(0, 99);
+  ASSERT_EQ(recovered.size(), appended.size());
+  for (std::size_t i = 0; i < recovered.size(); ++i)
+    expect_bit_identical(appended[i], recovered[i]);
+}
+
 // --- metrics ----------------------------------------------------------------
 
 TEST(Ledger, ExportsMetricFamilies) {
@@ -649,6 +702,69 @@ TEST(LedgerServe, RestartServesByteIdenticalWindowAnswers) {
   store.publish(synthetic_at(41));
   EXPECT_EQ(store.latest()->epoch, 41u);
   EXPECT_EQ(log->stats().tail_epoch, 41u);
+}
+
+TEST(LedgerServe, RecoveryDropsACompactionSourceThatOutlivedItsRename) {
+  Scratch scratch;
+  const std::vector<Request> requests = {
+      window_request(QueryKind::kTenantEnergy, 2.0, 11.0),
+      window_request(QueryKind::kVmEnergy, 1.0, 19.0),
+  };
+  LedgerOptions manual = inline_options(scratch.path);
+  manual.auto_compact = false;
+
+  // First life: wal 1-8 and 9-16 sealed, wal 17-20 active. Keep a copy of
+  // the first sealed WAL, then compact both into cold segments.
+  std::vector<std::string> hot_answers;
+  const fs::path first_wal = scratch.path / "wal-00000000000000000001.log";
+  std::string first_wal_bytes;
+  {
+    auto log = std::make_unique<Ledger>(manual);
+    SnapshotStore store(64);
+    store.set_ledger(log.get());
+    for (int t = 1; t <= 20; ++t) store.publish(synthetic_at(t));
+    QueryEngine hot(store);
+    for (const Request& request : requests)
+      hot_answers.push_back(encode_response(hot.execute(request)));
+    std::ifstream in(first_wal, std::ios::binary);
+    first_wal_bytes.assign(std::istreambuf_iterator<char>(in), {});
+    ASSERT_FALSE(first_wal_bytes.empty());
+    EXPECT_EQ(log->compact_all(), 2u);
+  }
+
+  // The crash: compaction renamed cold-1-8 into place but never removed
+  // its source, so the sealed WAL sits beside its cold copy.
+  ASSERT_FALSE(fs::exists(first_wal));
+  {
+    std::ofstream out(first_wal, std::ios::binary);
+    out << first_wal_bytes;
+  }
+
+  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  EXPECT_FALSE(fs::exists(first_wal));
+  EXPECT_EQ(log->recovery().records, 20u);
+  EXPECT_EQ(log->recovery().torn_records, 0u);
+  const auto early = log->range(1, 9);
+  ASSERT_EQ(early.size(), 9u);
+  for (std::size_t i = 0; i < early.size(); ++i)
+    EXPECT_EQ(early[i].epoch, i + 1);
+  const ledger::Stats stats = log->stats();
+  EXPECT_EQ(stats.records, 20u);
+  EXPECT_EQ(stats.cold_segments, 2u);
+  EXPECT_TRUE(ledger::verify_dir(scratch.path).clean());
+
+  // Cold answers through a tiny restored ring equal the first life's hot
+  // ones.
+  SnapshotStore store(4);
+  EXPECT_EQ(store.restore_from_ledger(*log), 4u);
+  store.set_ledger(log.get());
+  QueryEngine cold(store);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Response response = cold.execute(requests[i]);
+    ASSERT_TRUE(response.ok) << requests[i].canonical();
+    EXPECT_EQ(encode_response(response), hot_answers[i])
+        << requests[i].canonical();
+  }
 }
 
 TEST(LedgerServe, WindowErrorsCarryTheOldestReachableEpoch) {

@@ -110,6 +110,27 @@ TEST_F(SerializationTest, TruncatedRowRejected) {
   EXPECT_THROW(load_table(path_), std::runtime_error);
 }
 
+TEST_F(SerializationTest, FilesOverTheVhcBoundRejected) {
+  // A universe holds at most 12 VHCs: a 13-VHC table or approximation
+  // file is refused at load, however well formed.
+  static_assert(VhcUniverse::kMaxVhcs == 12);
+  const std::size_t thirteen = 13;
+  {
+    std::ofstream out(path_);
+    out << "vmpower-vsc-table v1 num_vhcs=" << thirteen
+        << " resolution=0.01\n";
+  }
+  EXPECT_THROW(load_table(path_), std::invalid_argument);
+  {
+    std::ofstream out(path_);
+    out << "vmpower-vhc-approx v1 num_vhcs=" << thirteen << "\n1";
+    for (std::size_t w = 0; w < thirteen * common::kNumComponents; ++w)
+      out << " 1.5";
+    out << " 0.1 60\n";
+  }
+  EXPECT_THROW(load_approximation(path_), std::invalid_argument);
+}
+
 TEST_F(SerializationTest, MissingFileRejected) {
   EXPECT_THROW(load_table(path_.string() + ".nope"), std::runtime_error);
   EXPECT_THROW(load_approximation(path_.string() + ".nope"),

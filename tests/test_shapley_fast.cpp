@@ -2,15 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/estimator.hpp"
 #include "core/vhc.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 namespace {
@@ -42,172 +44,6 @@ TEST(DetectSymmetry, GroupsByKeyAndExactState) {
       std::invalid_argument);
 }
 
-// --- grouped (symmetry-collapsed) solver ------------------------------------
-
-/// A game that is symmetric within each group by construction: the worth
-/// depends only on the per-group member counts, via random additive and
-/// multiplicative composition tables.
-struct SymmetricGame {
-  SymmetryGroups groups;
-  std::vector<std::vector<double>> add;  // group -> per-count term.
-  std::vector<std::vector<double>> mul;  // group -> per-count factor.
-
-  [[nodiscard]] WorthFn worth() const {
-    return [this](Coalition s) {
-      std::vector<std::size_t> count(groups.group_count(), 0);
-      for (Player i = 0; i < groups.player_count(); ++i)
-        if (s.contains(i)) ++count[groups.group_of[i]];
-      double sum = 0.0, prod = 1.0;
-      for (std::size_t g = 0; g < groups.group_count(); ++g) {
-        sum += add[g][count[g]];
-        prod *= mul[g][count[g]];
-      }
-      return sum + prod;
-    };
-  }
-};
-
-SymmetricGame random_symmetric_game(std::size_t n_groups,
-                                    std::size_t max_group_size,
-                                    util::Rng& rng) {
-  SymmetricGame game;
-  std::size_t player = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const auto size = static_cast<std::size_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(max_group_size)));
-    game.groups.members.emplace_back();
-    for (std::size_t k = 0; k < size; ++k) {
-      game.groups.members[g].push_back(player++);
-      game.groups.group_of.push_back(g);
-    }
-    game.add.emplace_back();
-    game.mul.emplace_back();
-    for (std::size_t k = 0; k <= size; ++k) {
-      game.add[g].push_back(rng.uniform(-5.0, 20.0));
-      game.mul[g].push_back(rng.uniform(0.5, 1.5));
-    }
-  }
-  return game;
-}
-
-TEST(GroupedShapley, MatchesMaskSweepOnRandomizedSymmetricGames) {
-  util::Rng rng(42);
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto n_groups =
-        static_cast<std::size_t>(rng.uniform_int(1, 5));  // 1..5 "types".
-    const SymmetricGame game = random_symmetric_game(n_groups, 4, rng);
-    const std::size_t n = game.groups.player_count();
-    if (n > 14) continue;  // keep the reference sweep fast.
-
-    const WorthFn v = game.worth();
-    const auto collapsed = shapley_values_grouped(game.groups, v);
-    const auto sweep = shapley_values(n, v);
-    ASSERT_EQ(collapsed.size(), sweep.size());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(collapsed[i], sweep[i], 1e-12)
-          << "trial " << trial << " player " << i << " (n=" << n
-          << ", groups=" << n_groups << ")";
-  }
-}
-
-TEST(GroupedShapley, AllDistinctFallbackEqualsSweep) {
-  // Singleton groups degenerate to the plain mask sweep (every composition
-  // is a mask); results must agree exactly to rounding.
-  util::Rng rng(7);
-  const std::size_t n = 6;
-  std::vector<double> worth_table(std::size_t{1} << n);
-  for (auto& w : worth_table) w = rng.uniform(0.0, 50.0);
-  worth_table[0] = 0.0;
-  const WorthFn v = [&](Coalition s) { return worth_table[s.mask()]; };
-
-  SymmetryGroups singletons;
-  for (Player i = 0; i < n; ++i) {
-    singletons.group_of.push_back(i);
-    singletons.members.push_back({i});
-  }
-  EXPECT_TRUE(singletons.all_distinct());
-  EXPECT_EQ(singletons.composition_count(), std::size_t{1} << n);
-
-  const auto grouped = shapley_values_grouped(singletons, v);
-  const auto sweep = shapley_values(n, v);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(grouped[i], sweep[i], 1e-12);
-}
-
-TEST(GroupedShapley, SinglePlayerEdge) {
-  SymmetryGroups one;
-  one.group_of = {0};
-  one.members = {{0}};
-  const auto phi = shapley_values_grouped(
-      one, [](Coalition s) { return s.is_empty() ? 0.0 : 17.5; });
-  ASSERT_EQ(phi.size(), 1u);
-  EXPECT_DOUBLE_EQ(phi[0], 17.5);
-}
-
-TEST(GroupedShapley, RejectsMalformedGroups) {
-  SymmetryGroups empty;
-  EXPECT_THROW(shapley_values_grouped(empty, [](Coalition) { return 0.0; }),
-               std::invalid_argument);
-  SymmetryGroups holes;  // group_of says 2 players, members cover 1.
-  holes.group_of = {0, 0};
-  holes.members = {{0}};
-  EXPECT_THROW(shapley_values_grouped(holes, [](Coalition) { return 0.0; }),
-               std::invalid_argument);
-}
-
-TEST(GroupedShapley, EfficiencyOnFullySymmetricGame) {
-  // n identical players: everyone gets v(N)/n.
-  SymmetryGroups groups;
-  const std::size_t n = 8;
-  groups.members.emplace_back();
-  for (Player i = 0; i < n; ++i) {
-    groups.group_of.push_back(0);
-    groups.members[0].push_back(i);
-  }
-  const WorthFn v = [](Coalition s) {
-    const auto k = static_cast<double>(s.size());
-    return 10.0 * k + 0.5 * k * k;  // superadditive, symmetric.
-  };
-  const auto phi = shapley_values_grouped(groups, v);
-  const double expected = v(Coalition::grand(n)) / static_cast<double>(n);
-  for (const double p : phi) EXPECT_NEAR(p, expected, 1e-12);
-}
-
-// --- parallel mask sweep -----------------------------------------------------
-
-TEST(ParallelShapley, ByteIdenticalAcrossPoolSizesAndNearSerial) {
-  util::Rng rng(11);
-  const std::size_t n = 10;
-  std::vector<double> worth_table(std::size_t{1} << n);
-  for (auto& w : worth_table) w = rng.uniform(0.0, 100.0);
-  worth_table[0] = 0.0;
-  const WorthFn v = [&](Coalition s) { return worth_table[s.mask()]; };
-
-  const auto serial = shapley_values(n, v);
-  std::vector<std::vector<double>> runs;
-  for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
-    util::ThreadPool pool(threads);
-    runs.push_back(shapley_values_parallel(n, v, pool));
-  }
-  for (std::size_t run = 1; run < runs.size(); ++run)
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(runs[0][i], runs[run][i])  // exact, not NEAR.
-          << "pool-size run " << run << " player " << i;
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(runs[0][i], serial[i], 1e-9);
-}
-
-TEST(ParallelShapley, PropagatesWorthExceptions) {
-  util::ThreadPool pool(3);
-  const WorthFn v = [](Coalition s) -> double {
-    if (s.size() > 2) throw std::runtime_error("boom");
-    return 1.0;
-  };
-  EXPECT_THROW(shapley_values_parallel(6, v, pool), std::runtime_error);
-  EXPECT_THROW(shapley_values_parallel(0, [](Coalition) { return 0.0; }, pool),
-               std::invalid_argument);
-}
-
 // --- ComboWeightCache --------------------------------------------------------
 
 /// Trains a 3-VHC approximation on an exact linear law, leaving the grand
@@ -237,7 +73,6 @@ TEST(ComboWeightCache, MatchesPredictForFittedAndCoveredCombos) {
   const VhcLinearApprox approx = partial_three_vhc_approx(rng);
   ComboWeightCache cache;
   cache.bind(&approx);
-  ASSERT_TRUE(cache.usable());
 
   for (int s = 0; s < 20; ++s) {
     std::vector<StateVector> states(3);
@@ -577,25 +412,199 @@ TEST(ShapleyVhcEstimatorFast, SingleVmEdge) {
   EXPECT_NEAR(phi[0], 12.5, 1e-12);  // anchored grand == the whole power.
 }
 
-TEST(ShapleyVhcEstimatorFast, ParallelSweepMatchesSerialExactly) {
-  util::Rng rng(26);
-  const auto pipeline = full_pipeline(2, rng);
-  const VhcUniverse universe({0, 1});
-  const auto vms = mixed_fleet(rng, 14, 2, /*duplicate_states=*/false);
+// --- differential kernels ---------------------------------------------------
 
-  ShapleyVhcEstimator serial(universe, pipeline.approx);
-  const auto serial_phi = serial.estimate(vms, 80.0);
+/// Quarter-CPU cells planted over every combo of `table`, so on-grid fleets
+/// below both hit and miss the lookup-first path.
+VscTable planted_table(const VscTable& base, std::size_t r, util::Rng& rng) {
+  VscTable table = base;
+  for (VhcComboMask combo = 1; combo < (VhcComboMask{1} << r); ++combo)
+    for (int cell = 0; cell < 30; ++cell) {
+      std::vector<StateVector> states(r);
+      for (std::size_t j = 0; j < r; ++j)
+        if (((combo >> j) & 1u) != 0)
+          states[j] = StateVector::cpu_only(
+              0.25 * static_cast<double>(rng.uniform_int(1, 6)));
+      table.record(combo, states, rng.uniform(5.0, 60.0));
+    }
+  return table;
+}
 
-  std::vector<std::vector<double>> runs;
-  for (const std::size_t threads : {2u, 5u}) {
-    util::ThreadPool pool(threads);
-    ShapleyVhcEstimator parallel(universe, pipeline.approx);
-    parallel.set_thread_pool(&pool, /*min_players=*/2);
-    runs.push_back(parallel.estimate(vms, 80.0));
+/// A seeded random fleet: each VM idles, replays an earlier VM's type and
+/// state (a symmetric pair), or draws a fresh state — on the quarter-CPU
+/// grid or off it.
+std::vector<VmSample> random_fleet(util::Rng& rng, std::size_t n,
+                                   std::size_t n_types, bool on_grid) {
+  std::vector<VmSample> vms;
+  for (std::size_t i = 0; i < n; ++i) {
+    VmSample vm;
+    vm.vm_id = static_cast<std::uint32_t>(i);
+    vm.type = static_cast<common::VmTypeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n_types) - 1));
+    const double u = rng.uniform();
+    if (u < 0.15) {
+      vm.state = StateVector::zero();
+    } else if (u < 0.45 && i > 0) {
+      const VmSample& twin = vms[rng.uniform_u64(i)];
+      vm.type = twin.type;
+      vm.state = twin.state;
+    } else if (on_grid) {
+      vm.state = StateVector::cpu_only(
+          0.25 * static_cast<double>(rng.uniform_int(1, 4)));
+    } else {
+      vm.state = StateVector::cpu_only(rng.uniform(0.05, 1.0));
+      vm.state[Component::kMemory] = rng.uniform(0.0, 0.5);
+    }
+    vms.push_back(vm);
   }
-  for (std::size_t i = 0; i < vms.size(); ++i) {
-    EXPECT_EQ(runs[0][i], runs[1][i]) << "pool size changed phi, vm " << i;
-    EXPECT_NEAR(runs[0][i], serial_phi[i], 1e-9) << "vm " << i;
+  return vms;
+}
+
+TEST(ShapleyVhcEstimatorFast, KernelsMatchTheReferenceOnRandomFleets) {
+  // Every exact kernel the estimator picks must equal the per-mask
+  // reference, and the forced sampled tier must cover it within its own
+  // reported half-widths, over seeded random fleets of 1–12 VMs and 1–4
+  // types, with and without the v(S, C) table.
+  util::Rng rng(2019);
+  std::vector<TrainedPipeline> pipelines;
+  std::vector<VscTable> tables;
+  for (std::size_t r = 1; r <= 4; ++r) {
+    pipelines.push_back(full_pipeline(r, rng));
+    tables.push_back(planted_table(pipelines.back().table, r, rng));
+  }
+
+  double worst_exact = 0.0, worst_sampled = 0.0;
+  std::string worst_exact_case = "none", worst_sampled_case = "none";
+  std::size_t collapsed = 0, sweep = 0, sampled = 0, hits = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const auto r = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    const bool with_table = trial % 2 == 0;
+    const bool anchor = trial % 5 != 4;
+    const bool on_grid = trial % 3 != 2;
+    const TrainedPipeline& pipeline = pipelines[r - 1];
+    const VscTable& table = tables[r - 1];
+    std::vector<common::VmTypeId> types(r);
+    std::iota(types.begin(), types.end(), common::VmTypeId{0});
+    const VhcUniverse universe(types);
+    const auto vms = random_fleet(rng, n, r, on_grid);
+    const double adjusted = rng.uniform(10.0, 120.0);
+    const std::string shape =
+        "trial " + std::to_string(trial) + " (n=" + std::to_string(n) +
+        ", types=" + std::to_string(r) + ", table=" +
+        std::to_string(with_table) + ", anchor=" + std::to_string(anchor) +
+        ")";
+
+    // Exact: whichever kernel auto picks, within 1e-9 of the fleet's scale.
+    ShapleyVhcEstimator exact =
+        with_table ? ShapleyVhcEstimator(universe, pipeline.approx, table,
+                                         anchor)
+                   : ShapleyVhcEstimator(universe, pipeline.approx, anchor);
+    const auto phi = exact.estimate(vms, adjusted);
+    const auto reference =
+        reference_estimate(universe, pipeline.approx,
+                           with_table ? &table : nullptr, anchor, vms,
+                           adjusted);
+    collapsed += exact.last_kernel() == "collapsed";
+    sweep += exact.last_kernel() == "sweep";
+    hits += exact.table_hit_rate() > 0.0;
+    double scale = adjusted;
+    for (const double value : reference) scale = std::max(scale, std::abs(value));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double rel = std::abs(phi[i] - reference[i]) / scale;
+      if (rel > worst_exact) {
+        worst_exact = rel;
+        worst_exact_case = shape + " " + std::string(exact.last_kernel()) +
+                           " vm " + std::to_string(i);
+      }
+      EXPECT_LE(rel, 1e-9) << shape << " kernel " << exact.last_kernel()
+                           << " vm " << i;
+    }
+
+    // Sampled: forced, and compared with the table-less reference because
+    // the sampled tier answers from the approximation alone.
+    ShapleyVhcEstimator approximate(universe, pipeline.approx, anchor);
+    SampledKernelConfig config;
+    config.kernel = SampledKernelConfig::Kernel::kSampled;
+    config.sampling.seed = static_cast<std::uint64_t>(trial) + 1;
+    config.sampling.max_samples = 3000;
+    approximate.set_sampled_kernel(config);
+    const auto estimate = approximate.estimate(vms, adjusted);
+    ASSERT_EQ(approximate.last_kernel(), "sampled");
+    ++sampled;
+    const auto approx_reference = reference_estimate(
+        universe, pipeline.approx, nullptr, anchor, vms, adjusted);
+    const SampledTickStats& stats = approximate.last_sampled();
+    // Per-VM half-width plus the uniform efficiency shift, as reported.
+    const double bound = stats.max_halfwidth_w +
+                         stats.sum_halfwidth_w / static_cast<double>(n) + 1e-9;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ratio = std::abs(estimate[i] - approx_reference[i]) / bound;
+      if (ratio > worst_sampled) {
+        worst_sampled = ratio;
+        worst_sampled_case = shape + " vm " + std::to_string(i);
+      }
+      EXPECT_LE(std::abs(estimate[i] - approx_reference[i]), bound)
+          << shape << " vm " << i << " stopped_by " << stats.stopped_by;
+    }
+  }
+  std::printf(
+      "exact kernels: collapsed %zu, sweep %zu, table hits in %zu; worst "
+      "relative error %.3g at %s\n"
+      "sampled tier: %zu fleets; worst |error| / bound %.3f at %s\n",
+      collapsed, sweep, hits, worst_exact, worst_exact_case.c_str(), sampled,
+      worst_sampled, worst_sampled_case.c_str());
+  EXPECT_GT(collapsed, 0u);
+  EXPECT_GT(sweep, 0u);
+  EXPECT_GT(hits, 0u);
+}
+
+// --- the 12-VHC bound ---------------------------------------------------------
+
+TEST(ShapleyVhcEstimatorFast, TwelveTypeUniverseMetersThroughTheDenseCache) {
+  static_assert(VhcUniverse::kMaxVhcs == 12);
+  constexpr std::size_t kTypes = VhcUniverse::kMaxVhcs;
+  // Fitting all 4095 combos would take 600k samples; singletons and a few
+  // pairs keep it small, and every other combo resolves through predict()'s
+  // disjoint-cover fallback, which the dense cache folds into one vector.
+  util::Rng rng(12);
+  VscTable table(kTypes, 0.01);
+  std::vector<VhcComboMask> fitted;
+  for (std::size_t j = 0; j < kTypes; ++j) fitted.push_back(VhcComboMask{1} << j);
+  for (const VhcComboMask pair : {0x003u, 0x030u, 0x900u}) fitted.push_back(pair);
+  for (const VhcComboMask combo : fitted)
+    for (int s = 0; s < 60; ++s) {
+      std::vector<StateVector> states(kTypes);
+      double power = 0.0;
+      for (std::size_t j = 0; j < kTypes; ++j) {
+        if (((combo >> j) & 1u) == 0) continue;
+        const double cpu = rng.uniform(0.0, 2.0);
+        states[j] = StateVector::cpu_only(cpu);
+        power += (2.0 + static_cast<double>(j)) * cpu;
+      }
+      table.record(combo, states, power);
+    }
+  const VhcLinearApprox approx = VhcLinearApprox::fit(table);
+  std::vector<common::VmTypeId> types(kTypes);
+  std::iota(types.begin(), types.end(), common::VmTypeId{0});
+  const VhcUniverse universe(types);
+
+  // Eight VMs spread over the twelve types: distinct states take the sweep,
+  // then a duplicated (type, state) pair takes the collapsed kernel.
+  std::vector<VmSample> vms;
+  const common::VmTypeId spread[] = {0, 11, 5, 1, 7, 4, 9, 10};
+  for (std::uint32_t i = 0; i < 8; ++i)
+    vms.push_back({i, spread[i],
+                   StateVector::cpu_only(0.1 + 0.07 * static_cast<double>(i))});
+  ShapleyVhcEstimator estimator(universe, approx);
+  for (const char* kernel : {"sweep", "collapsed"}) {
+    const auto phi = estimator.estimate(vms, 70.0);
+    EXPECT_EQ(estimator.last_kernel(), kernel);
+    const auto reference =
+        reference_estimate(universe, approx, nullptr, true, vms, 70.0);
+    for (std::size_t i = 0; i < vms.size(); ++i)
+      EXPECT_NEAR(phi[i], reference[i], 1e-9) << kernel << " vm " << i;
+    vms[7] = {7, vms[6].type, vms[6].state};  // a symmetric pair for round 2.
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -13,7 +14,6 @@
 #include "core/estimator.hpp"
 #include "core/shapley.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 namespace {
@@ -91,31 +91,6 @@ TEST(SampledShapley, EstimateFallsInsideItsOwnConfidenceInterval) {
               grand, 1e-9);
 }
 
-TEST(SampledShapley, ByteIdenticalAtAnyThreadCount) {
-  constexpr std::size_t n = 12;
-  const auto table = random_game(n, 5);
-  SampledShapleyOptions options;
-  options.seed = 99;
-  options.max_samples = 1500;
-
-  const auto reference =
-      sampled_shapley_values(n, table_worth(table), table.back(), options);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{5}}) {
-    util::ThreadPool pool(threads);
-    const auto parallel = sampled_shapley_values(
-        n, table_worth(table), table.back(), options, &pool);
-    ASSERT_EQ(parallel.phi.size(), reference.phi.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(parallel.phi[i], reference.phi[i]) << "threads=" << threads;
-      EXPECT_EQ(parallel.halfwidth_w[i], reference.halfwidth_w[i])
-          << "threads=" << threads;
-    }
-    EXPECT_EQ(parallel.worth_evaluations, reference.worth_evaluations);
-    EXPECT_EQ(parallel.rounds, reference.rounds);
-  }
-}
-
 TEST(SampledShapley, AnytimeStopRulesFireAsConfigured) {
   constexpr std::size_t n = 8;
   const auto table = random_game(n, 3);
@@ -173,8 +148,7 @@ TEST(SampledShapley, SixtyFourPlayerAdditiveGameInBoundedTime) {
   SampledShapleyOptions options;
   options.seed = 17;
   options.max_samples = 20'000;
-  util::ThreadPool pool(4);
-  const auto result = sampled_shapley_values(n, worth, grand, options, &pool);
+  const auto result = sampled_shapley_values(n, worth, grand, options);
   EXPECT_STREQ(to_string(result.stopped_by), "max_samples");
   EXPECT_LE(result.worth_evaluations, options.max_samples);
   EXPECT_NEAR(std::accumulate(result.phi.begin(), result.phi.end(), 0.0),
@@ -366,32 +340,30 @@ TEST(ShapleyVhcEstimator, SampledTicksReplayExactlyAndNeverShareDraws) {
   config.kernel = SampledKernelConfig::Kernel::kSampled;
   config.sampling.max_samples = 2000;
 
-  // Same config, same call order: serial and pooled estimators agree
-  // byte-for-byte (the fold is thread-count independent).
-  ShapleyVhcEstimator serial(VhcUniverse({0}), exact_linear_approx(10.0));
-  serial.set_sampled_kernel(config);
-  ShapleyVhcEstimator pooled(VhcUniverse({0}), exact_linear_approx(10.0));
-  pooled.set_sampled_kernel(config);
-  util::ThreadPool pool(3);
-  pooled.set_thread_pool(&pool, /*min_players=*/4);
+  // Same config, same call order: two estimators agree byte-for-byte.
+  ShapleyVhcEstimator one(VhcUniverse({0}), exact_linear_approx(10.0));
+  one.set_sampled_kernel(config);
+  ShapleyVhcEstimator two(VhcUniverse({0}), exact_linear_approx(10.0));
+  two.set_sampled_kernel(config);
 
-  const auto first = serial.estimate(vms, measured);
-  EXPECT_EQ(first, pooled.estimate(vms, measured));
+  const auto first = one.estimate(vms, measured);
+  EXPECT_EQ(first, two.estimate(vms, measured));
 
   // The next tick mixes the call counter into the seed: identical input,
   // different draws, so the estimate moves (while staying reproducible).
-  const auto second = serial.estimate(vms, measured);
+  const auto second = one.estimate(vms, measured);
   EXPECT_NE(first, second);
-  EXPECT_EQ(second, pooled.estimate(vms, measured));
+  EXPECT_EQ(second, two.estimate(vms, measured));
 }
 
 TEST(ShapleyVhcEstimator, ForcedKernelsRespectTheirOwnLimits) {
   ShapleyVhcEstimator estimator(VhcUniverse({0}), exact_linear_approx(10.0));
 
-  // Forcing the 2^n sweep past kMaxPlayers is refused, not attempted.
-  SampledKernelConfig force_sweep;
-  force_sweep.kernel = SampledKernelConfig::Kernel::kSweep;
-  estimator.set_sampled_kernel(force_sweep);
+  // A threshold that keeps the 2^n sweep past kMaxPlayers has it refused,
+  // not attempted.
+  SampledKernelConfig exact_only;
+  exact_only.composition_threshold = std::numeric_limits<std::size_t>::max();
+  estimator.set_sampled_kernel(exact_only);
   double total_cpu = 0.0;
   const auto big = mixed_fleet(kMaxPlayers + 1, 0, &total_cpu);
   EXPECT_THROW(estimator.estimate(big, 10.0 * total_cpu),

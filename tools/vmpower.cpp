@@ -116,9 +116,9 @@ commands:
           [--inject-faults meter:P,dropout:P,stale:P] [--max-retries N]
           [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
           [--checkpoint FILE] [--metrics FILE] [--trace] [--trace-out FILE]
-          --kernel K       Shapley kernel: auto (default; exact collapsed/
-                           sweep below the composition threshold, sampled
-                           above), or force collapsed|sweep|sampled
+          --kernel K       Shapley kernel: auto (default; exact below the
+                           composition threshold, sampled above) or
+                           sampled (force the approximate tier)
           --samples N      sampled tier: worth-evaluation budget per tick
           --halfwidth W    sampled tier: stop once every VM's confidence
                            half-width is <= W watts
@@ -278,20 +278,17 @@ std::vector<common::VmConfig> fleet_for(const util::CliArgs& args) {
 }
 
 /// Parses the Shapley kernel knobs shared by meter/bill/fleet/serve:
-/// --kernel auto|collapsed|sweep|sampled plus the sampled tier's anytime
+/// --kernel auto|sampled plus the sampled tier's anytime
 /// stop rules (--samples, --halfwidth, --budget-ms). --seed doubles as the
 /// sampling seed, so sampled runs are reproducible from the CLI.
 core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
   core::SampledKernelConfig config;
-  using Kernel = core::SampledKernelConfig::Kernel;
   const std::string kernel = args.get("kernel", "auto");
-  if (kernel == "collapsed") config.kernel = Kernel::kCollapsed;
-  else if (kernel == "sweep") config.kernel = Kernel::kSweep;
-  else if (kernel == "sampled") config.kernel = Kernel::kSampled;
+  if (kernel == "sampled")
+    config.kernel = core::SampledKernelConfig::Kernel::kSampled;
   else if (kernel != "auto")
-    throw std::invalid_argument(
-        "unknown --kernel '" + kernel +
-        "' (expected auto, collapsed, sweep, or sampled)");
+    throw std::invalid_argument("unknown --kernel '" + kernel +
+                                "' (expected auto or sampled)");
   config.sampling.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   config.sampling.max_samples =
       static_cast<std::size_t>(args.get_long("samples", 60'000));
@@ -365,11 +362,12 @@ int cmd_train(const util::CliArgs& args) {
 }
 
 int cmd_meter(const util::CliArgs& args, bool billing) {
+  const core::SampledKernelConfig kernel = kernel_for(args);
   const auto fleet = fleet_for(args);
   const auto approx = core::load_approximation(args.require("approx"));
   const core::VhcUniverse universe = core::VhcUniverse::from_fleet(fleet);
   core::ShapleyVhcEstimator estimator(universe, approx);
-  estimator.set_sampled_kernel(kernel_for(args));
+  estimator.set_sampled_kernel(kernel);
 
   sim::PhysicalMachine machine(
       machine_for(args), static_cast<std::uint64_t>(args.get_long("seed", 1)));
